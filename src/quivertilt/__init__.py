@@ -57,6 +57,6 @@ from .reps import (
     tau_inverse,
     thin_from_support,
 )
-from .tilting import TiltingReport, end_quiver, verify_end_iso, verify_tilting
+from .tilting import TiltingReport, end_quiver, verify_tilting
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from . import cluster, properties, report, reps
 from .errors import QuivertiltError, UnsupportedParameters, VertexError
-from .family import family_instance, radical_layers
+from .family import FamilyInstance, family_instance, radical_layers
 from .quiver import Vertex, parse_vertex, to_exchange_matrix, mutate_matrix
 
 ENV_CAP = "QUIVERTILT_LAURENT_CAP"
@@ -26,8 +26,8 @@ def _default_cap() -> int:
         raise UnsupportedParameters(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
-def _parse_word(raw: str, a1: int, a2: int) -> list[Vertex]:
-    word = cluster.build_mu(a1, a2)
+def _parse_word(raw: str, inst: FamilyInstance) -> list[Vertex]:
+    word = cluster.build_mu(inst.a1, inst.a2)
     expanded: list[Vertex] = []
     for token in raw.split(","):
         token = token.strip()
@@ -42,7 +42,10 @@ def _parse_word(raw: str, a1: int, a2: int) -> list[Vertex]:
         elif token == "mu_t":
             expanded.extend(word.mu_t)
         else:
-            expanded.append(parse_vertex(token))
+            vertex = parse_vertex(token)
+            if vertex not in inst.vertices:
+                raise VertexError(f"{token} is not a vertex of Q[{inst.a1},{inst.a2}]")
+            expanded.append(vertex)
     return expanded
 
 
@@ -154,7 +157,7 @@ def cmd_show(args) -> int:
             print(f"  submodules: {reps.submodules_thin(m).count}")
     elif args.what == "quiver":
         b = to_exchange_matrix(inst.quiver)
-        word = _parse_word(args.word, args.a1, args.a2) if args.word else []
+        word = _parse_word(args.word, inst) if args.word else []
         for k in word:
             b = mutate_matrix(b, k)
         q = b.to_quiver() if word else inst.quiver
@@ -167,7 +170,7 @@ def cmd_show(args) -> int:
             print(f"  arrows: {arrows}")
     elif args.what == "seed":
         seed = cluster.initial_seed(inst.quiver, track_f=inst.quiver.n <= args.laurent_cap)
-        word = _parse_word(args.word, args.a1, args.a2) if args.word else []
+        word = _parse_word(args.word, inst) if args.word else []
         seed = cluster.apply_word(seed, word)
         if args.json:
             data = seed.to_json()

@@ -183,15 +183,11 @@ def apply_word(seed: Seed, word: Sequence[Vertex | int]) -> Seed:
     return seed
 
 
-def seed_variable(seed: Seed, k: int, b0_pattern: IntRows) -> LaurentPoly:
-    """The cluster variable in slot k as a Laurent polynomial in
-    (x_1..x_n, y_1..y_n): x^{G_k} * F_k(yhat) expanded monomial by monomial."""
-    if seed.f is None:
-        raise UnsupportedInput("seed does not track F-polynomials")
-    n = seed.n
-    g = seed.g_column(k)
+def _character(g: Sequence[int], fpoly: IntPoly, b0_pattern: IntRows) -> LaurentPoly:
+    """x^g * F(yhat) expanded monomial by monomial, yhat_j = y_j x^{b0 column j}."""
+    n = len(g)
     terms: dict[tuple[int, ...], int] = {}
-    for mono, coeff in seed.f[k].terms.items():
+    for mono, coeff in fpoly.terms.items():
         x_part = list(g)
         for j, e in enumerate(mono):
             if e:
@@ -200,6 +196,14 @@ def seed_variable(seed: Seed, k: int, b0_pattern: IntRows) -> LaurentPoly:
         key = tuple(x_part) + mono
         terms[key] = terms.get(key, 0) + coeff
     return LaurentPoly(2 * n, terms)
+
+
+def seed_variable(seed: Seed, k: int, b0_pattern: IntRows) -> LaurentPoly:
+    """The cluster variable x^{G_k} F_k(yhat) in slot k as a Laurent
+    polynomial in (x_1..x_n, y_1..y_n)."""
+    if seed.f is None:
+        raise UnsupportedInput("seed does not track F-polynomials")
+    return _character(seed.g_column(k), seed.f[k], b0_pattern)
 
 
 def pattern_matrix(quiver: Quiver) -> IntRows:
@@ -291,50 +295,34 @@ def g_vector(m: Representation) -> tuple[int, ...]:
 def cc_exponent(m: Representation) -> tuple[int, ...]:
     """x-exponent of the leading (coefficient-free) monomial of the module's
     cluster variable: [I1] - [I0] from the minimal injective copresentation,
-    computed as the negated projective data of the dual module."""
-    order = {v: i for i, v in enumerate(m.algebra.quiver.vertices)}
-    out = [0] * m.algebra.quiver.n
-    if m.is_zero():
-        return tuple(out)
-    pres = reps.minimal_projective_presentation(reps.dual(m))
-    for v in pres.p1_vertices:
-        out[order[v]] += 1
-    for v in pres.p0_vertices:
-        out[order[v]] -= 1
-    return tuple(out)
+    which is the negated g-vector of the dual module."""
+    return tuple(-x for x in g_vector(reps.dual(m)))
 
 
 def cc_character(m: Representation, quiver: Quiver) -> LaurentPoly:
     """The module's cluster variable x^{g°(M)} F_M(yhat) as a Laurent
     polynomial in (x, y); specializing y -> 1 is subtraction-free."""
-    n = quiver.n
-    g = cc_exponent(m)
-    fpoly = f_polynomial(m)
-    b0 = pattern_matrix(quiver)
-    terms: dict[tuple[int, ...], int] = {}
-    for mono, coeff in fpoly.terms.items():
-        x_part = list(g)
-        for j, e in enumerate(mono):
-            if e:
-                for i in range(n):
-                    x_part[i] += b0[i][j] * e
-        key = tuple(x_part) + mono
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(2 * n, terms)
+    return _character(cc_exponent(m), f_polynomial(m), pattern_matrix(quiver))
 
 
 # -- section-7 verifications ---------------------------------------------------
 
 
-def verify_source_sink_discipline(a1: int, a2: int) -> bool:
-    """Every mu_S step mutates a source and every mu_T step a sink of the
-    current quiver, starting from mu_R Q."""
+def _mu_r_matrix(a1: int, a2: int) -> tuple[MutationWord, ExchangeMatrix]:
+    """The mutation word and the exchange matrix of mu_R Q."""
     from .algebra import build_quiver
 
     word = build_mu(a1, a2)
     b = to_exchange_matrix(build_quiver(a1, a2))
     for k in word.mu_r:
         b = mutate_matrix(b, k)
+    return word, b
+
+
+def verify_source_sink_discipline(a1: int, a2: int) -> bool:
+    """Every mu_S step mutates a source and every mu_T step a sink of the
+    current quiver, starting from mu_R Q."""
+    word, b = _mu_r_matrix(a1, a2)
     for k in word.mu_s:
         kk = b.vertex_index(k)
         if any(b.entries[i][kk] > 0 for i in range(b.n)):
@@ -387,12 +375,7 @@ class TypeCheck:
 def verify_acyclic_type(a1: int, a2: int) -> TypeCheck:
     """mu_R Q must be acyclic; its underlying tree gives the type, and
     mu_T mu_R Q must be the T_{a1+1, a1+1, a2-1} tree."""
-    from .algebra import build_quiver
-
-    word = build_mu(a1, a2)
-    b = to_exchange_matrix(build_quiver(a1, a2))
-    for k in word.mu_r:
-        b = mutate_matrix(b, k)
+    word, b = _mu_r_matrix(a1, a2)
     q_r = b.to_quiver()
     acyclic = not has_directed_cycle(q_r)
     label = classify_acyclic_type(q_r)

@@ -183,14 +183,6 @@ class LaurentPoly:
     def is_subtraction_free(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
-    def specialize_tail_to_one(self, keep: int) -> "LaurentPoly":
-        """Set all variables beyond the first `keep` to 1."""
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            key = m[:keep]
-            out[key] = out.get(key, 0) + c
-        return LaurentPoly(keep, out)
-
     def to_sorted_list(self) -> list[tuple[list[int], int]]:
         return [[list(m), c] for m, c in sorted(self.terms.items())]
 

@@ -255,17 +255,3 @@ class Matrix:
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-
-def span_rank(vectors: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of the span of a list of coordinate vectors."""
-    vecs = [v for v in vectors]
-    if not vecs:
-        return 0
-    return Matrix(vecs).rank()
-
-
-def in_span(vector: Sequence[Scalar], vectors: Sequence[Sequence[Scalar]]) -> bool:
-    if not vectors:
-        return all(_frac(x) == 0 for x in vector)
-    base = Matrix(vectors)
-    return base.vstack(Matrix([vector])).rank() == base.rank()

@@ -189,11 +189,6 @@ class ExchangeMatrix:
         except ValueError:
             raise VertexError(f"{v} not a vertex of this matrix") from None
 
-    def neg(self) -> "ExchangeMatrix":
-        return ExchangeMatrix(
-            tuple(tuple(-x for x in row) for row in self.entries), self.vertices
-        )
-
     def to_quiver(self) -> Quiver:
         """Quiver with b[i][j] arrows i -> j for every positive entry."""
         arrows = []

@@ -113,6 +113,8 @@ def run_checks(
 ) -> VerificationReport:
     if a1 < 1 or a2 < 2:
         raise UnsupportedParameters(f"need a1 >= 1 and a2 >= 2, got ({a1}, {a2})")
+    if property_cases < 0:
+        raise UnsupportedParameters(f"property_cases must be >= 0, got {property_cases}")
     selected = [CHECK_ALIASES.get(c, c) for c in checks] if checks else list(ALL_CHECKS)
     unknown = set(selected) - set(ALL_CHECKS)
     if unknown:

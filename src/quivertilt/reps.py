@@ -23,7 +23,9 @@ class Representation:
     """A representation of the bound quiver: dims per vertex, a matrix per arrow.
 
     Matrices map source to target (shape target_dim x source_dim).  Relation
-    compositions are checked at construction.
+    compositions are checked at construction.  A representation is immutable
+    after construction, so its minimal presentation and tau are computed at
+    most once and kept on it.
     """
 
     def __init__(
@@ -55,6 +57,8 @@ class Representation:
             self.maps[arrow] = mat
         if check:
             self.check_relations()
+        self._presentation: Optional[Presentation] = None
+        self._tau: Optional[Representation] = None
 
     # -- structure ----------------------------------------------------------
 
@@ -413,10 +417,6 @@ def cokernel(f: Morphism) -> tuple[Representation, Morphism]:
     return cok, proj
 
 
-def image_dims(f: Morphism) -> dict[Vertex, int]:
-    return {v: b.rank() for v, b in f.blocks.items()}
-
-
 def radical_matrices(m: Representation) -> dict[Vertex, Matrix]:
     """Per vertex, a matrix whose columns span rad M = sum of incoming images."""
     algebra = m.algebra
@@ -481,15 +481,13 @@ def socle_dims(m: Representation) -> dict[Vertex, int]:
 
 @dataclass
 class Presentation:
-    """Minimal projective presentation P1 --d--> P0 --cover--> M -> 0."""
+    """Minimal projective presentation P1 -> P0 -> M -> 0 with the syzygy
+    Ω = ker(P0 -> M); it keeps no reference back to M."""
 
-    module: Representation
     p0_vertices: tuple[Vertex, ...]
     p1_vertices: tuple[Vertex, ...]
     p0: Representation
     p1: Representation
-    cover: Morphism
-    differential: Morphism
     path_matrix: PathMatrix
     syzygy: Representation
     syzygy_inclusion: Morphism
@@ -525,14 +523,17 @@ def projective_cover(m: Representation) -> tuple[Representation, Morphism, tuple
 
 
 def minimal_projective_presentation(m: Representation) -> Presentation:
+    """The only construction of a module's cover, syzygy and P1; built on the
+    first call and kept on the module."""
+    if m._presentation is not None:
+        return m._presentation
     algebra = m.algebra
     p0, cover, verts0, offsets0 = projective_cover(m)
     syz, incl = kernel(cover)
     if syz.is_zero():
-        p1 = zero_rep(algebra)
-        diff = Morphism(p1, p0, {}, check=False)
         pm = PathMatrix(verts0, (), tuple(() for _ in verts0))
-        return Presentation(m, verts0, (), p0, p1, cover, diff, pm, syz, incl)
+        m._presentation = Presentation(verts0, (), p0, zero_rep(algebra), pm, syz, incl)
+        return m._presentation
     p1, cover1, verts1, offsets1 = projective_cover(syz)
     diff = cover1.then(incl)
     entries: list[list[PathCombo]] = [[() for _ in verts1] for _ in verts0]
@@ -547,7 +548,8 @@ def minimal_projective_presentation(m: Representation) -> Presentation:
                     combo.append((coeff, pth))
             entries[i][j] = tuple(combo)
     pm = PathMatrix(verts0, verts1, tuple(tuple(row) for row in entries))
-    return Presentation(m, verts0, verts1, p0, p1, cover, diff, pm, syz, incl)
+    m._presentation = Presentation(verts0, verts1, p0, p1, pm, syz, incl)
+    return m._presentation
 
 
 def realize_path_matrix(algebra: BoundAlgebra, pm: PathMatrix) -> Morphism:
@@ -596,29 +598,24 @@ def transpose_of_presentation(algebra: BoundAlgebra, pm: PathMatrix) -> Morphism
 
 
 def tau(m: Representation) -> Representation:
-    """AR translate D Tr via the minimal presentation.  Projective direct
-    summands contribute nothing (their presentation has no P1 part)."""
-    if m.is_zero():
-        return zero_rep(m.algebra)
+    """AR translate D Tr via the minimal presentation, kept on the module.
+    Projective direct summands contribute nothing (their presentation has no
+    P1 part)."""
+    if m._tau is not None:
+        return m._tau
     pres = minimal_projective_presentation(m)
     if not pres.p1_vertices:
-        return zero_rep(m.algebra)
-    d_op = transpose_of_presentation(m.algebra, pres.path_matrix)
-    tr, _ = cokernel(d_op)
-    return dual(tr)
+        m._tau = zero_rep(m.algebra)
+    else:
+        d_op = transpose_of_presentation(m.algebra, pres.path_matrix)
+        tr, _ = cokernel(d_op)
+        m._tau = dual(tr)
+    return m._tau
 
 
 def tau_inverse(m: Representation) -> Representation:
-    """Tr D; injective direct summands are annihilated."""
-    if m.is_zero():
-        return zero_rep(m.algebra)
-    dm = dual(m)
-    pres = minimal_projective_presentation(dm)
-    if not pres.p1_vertices:
-        return zero_rep(m.algebra)
-    d_back = transpose_of_presentation(dm.algebra, pres.path_matrix)
-    tr, _ = cokernel(d_back)
-    return tr
+    """Tr D = D tau D; injective direct summands are annihilated."""
+    return dual(tau(dual(m)))
 
 
 # -- Ext and stable Hom -------------------------------------------------------
@@ -626,17 +623,16 @@ def tau_inverse(m: Representation) -> Representation:
 
 def ext1_dim(m: Representation, n: Representation) -> int:
     """dim Ext^1(M, N) = dim coker(Hom(P0, N) -> Hom(Ω, N)) for the syzygy Ω
-    of the projective cover; exact for every M."""
+    of the minimal presentation; exact for every M."""
     if m.is_zero() or n.is_zero():
         return 0
-    _, cover, _, _ = projective_cover(m)
-    syz, incl = kernel(cover)
-    if syz.is_zero():
+    pres = minimal_projective_presentation(m)
+    if pres.syzygy.is_zero():
         return 0
-    from_k = hom_basis(syz, n)
+    from_k = hom_basis(pres.syzygy, n)
     if not from_k:
         return 0
-    restricted = [incl.then(h).flatten() for h in hom_basis(cover.source, n)]
+    restricted = [pres.syzygy_inclusion.then(h).flatten() for h in hom_basis(pres.p0, n)]
     restricted = [v for v in restricted if any(x != 0 for x in v)]
     if not restricted:
         return len(from_k)
@@ -749,15 +745,9 @@ def is_isomorphic_reps(m: Representation, n: Representation) -> bool:
 
 def projective_dimension_le1(m: Representation) -> bool:
     """True iff the first syzygy is projective, certified by an explicit
-    isomorphism with the projective cover of its top."""
-    if m.is_zero():
-        return True
-    _, cover, _, _ = projective_cover(m)
-    syz, _ = kernel(cover)
-    if syz.is_zero():
-        return True
-    candidate, _, _, _ = projective_cover(syz)
-    return is_isomorphic_reps(syz, candidate)
+    isomorphism with its projective cover P1."""
+    pres = minimal_projective_presentation(m)
+    return pres.syzygy.is_zero() or is_isomorphic_reps(pres.syzygy, pres.p1)
 
 
 # -- thin submodule lattices --------------------------------------------------

@@ -123,21 +123,16 @@ def _zero_path_property(instance: FamilyInstance, basis_cache) -> bool:
     return True
 
 
-def end_quiver(instance: FamilyInstance, basis_cache=None) -> tuple[Quiver, bool]:
-    """Gabriel quiver of End(T): arrows = dim rad/rad^2 between summands, and
-    the verdict that the potential relations hold in End(T).
+def end_quiver(instance: FamilyInstance, basis_cache) -> tuple[Quiver, bool]:
+    """Gabriel quiver of End(T) from the Hom bases between summands, keyed
+    (x, y): arrows = dim rad/rad^2 between summands, and the verdict that the
+    potential relations hold in End(T).
 
     The relation check is two-sided: length-a2 compositions along the cycle of
     End(T) vanish, while length-(a2-1) cycle compositions and the two branch
     junction compositions are nonzero.
     """
     verts = instance.vertices
-    if basis_cache is None:
-        basis_cache = {
-            (x, y): reps.hom_basis(instance.module_M(x), instance.module_M(y))
-            for x in verts
-            for y in verts
-        }
     for x in verts:
         if len(basis_cache[(x, x)]) != 1:
             raise AssertionError(f"End(M({x})) is not one-dimensional")
@@ -208,18 +203,8 @@ def end_quiver(instance: FamilyInstance, basis_cache=None) -> tuple[Quiver, bool
     return endq, relations_ok
 
 
-def verify_end_iso(instance: FamilyInstance) -> Optional[dict[Vertex, Vertex]]:
-    """The vertex bijection realizing End(T)-quiver ≅ Q^op, provided the
-    canonical map x -> M(x) reverses every arrow; None when either fails."""
-    endq, _ = end_quiver(instance)
-    if sorted(endq.arrows) != sorted(opposite(instance.quiver).arrows):
-        return None
-    return find_isomorphism(endq, opposite(instance.quiver))
-
-
 def verify_tilting(instance: FamilyInstance) -> TiltingReport:
     verts = instance.vertices
-    summands = [instance.module_M(x) for x in verts]
     taus = {x: reps.tau(instance.module_M(x)) for x in verts}
 
     basis_cache = {

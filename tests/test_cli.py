@@ -237,3 +237,33 @@ def test_verify_exit_one_on_check_failure(capsys, monkeypatch):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_show_seed_unknown_word_vertex_exit_two(capsys):
+    code, _, err = run(capsys, "show", "seed", "--a1", "2", "--a2", "2", "--word", "r99")
+    assert code == 2
+    assert "r99" in err
+
+
+def test_show_quiver_unknown_word_vertex_exit_two(capsys):
+    code, _, err = run(capsys, "show", "quiver", "--a1", "2", "--a2", "2", "--word", "r99")
+    assert code == 2
+    assert "r99" in err
+
+
+def test_verify_negative_property_cases_exit_two(capsys):
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--a1",
+        "2",
+        "--a2",
+        "2",
+        "--checks",
+        "properties",
+        "--property-cases",
+        "-3",
+    )
+    assert code == 2
+    assert "property_cases" in err
+    assert "pass" not in out

@@ -61,13 +61,11 @@ def test_counts():
     assert a.weight_count() == 3
 
 
-def test_laurent_add_and_specialize():
+def test_laurent_add():
     v = LaurentPoly(4, {(-1, 0, 1, 0): 1, (-1, 1, 0, 0): 1})
     w = v + LaurentPoly(4, {(-1, 0, 1, 0): -1})
     assert w.terms == {(-1, 1, 0, 0): 1}
     assert v.is_subtraction_free()
-    spec = v.specialize_tail_to_one(2)
-    assert spec.terms == {(-1, 0): 1, (-1, 1): 1}
 
 
 def test_sorted_serialization():

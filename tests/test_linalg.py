@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quivertilt.errors import ShapeError
-from quivertilt.linalg import Matrix, in_span, span_rank
+from quivertilt.linalg import Matrix
 
 
 def test_rref_and_rank():
@@ -62,13 +62,6 @@ def test_shape_errors():
         Matrix([[1, 2], [1]])
     with pytest.raises(ShapeError):
         Matrix([[1]]) @ Matrix([[1, 2], [3, 4]])
-
-
-def test_span_helpers():
-    assert span_rank([(1, 0), (0, 1), (1, 1)]) == 2
-    assert in_span((2, 2), [(1, 1)])
-    assert not in_span((1, 2), [(1, 1)])
-    assert in_span((0, 0), [])
 
 
 def test_block_diagonal():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from quivertilt.algebra import (
@@ -9,8 +12,10 @@ from quivertilt.algebra import (
     lazy_path,
 )
 from quivertilt.errors import RelationViolation, ShapeError, UnsupportedInput
+from quivertilt.family import family_instance
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, r, s, t
+from quivertilt.tilting import verify_tilting
 from quivertilt import reps
 
 
@@ -156,6 +161,43 @@ def test_double_transpose_recovers_presentation(a22):
     pres = reps.minimal_projective_presentation(m)
     pm2 = pres.path_matrix.transpose().transpose()
     assert pm2 == pres.path_matrix
+
+
+# -- the per-module presentation memo -------------------------------------------------
+
+
+def test_presentation_and_tau_are_computed_once(a22):
+    m = reps.thin_from_support(a22, [r(1), r(2), s(1)])
+    assert reps.minimal_projective_presentation(m) is reps.minimal_projective_presentation(m)
+    assert reps.tau(m) is reps.tau(m)
+
+
+def test_presentation_memo_is_cycle_free():
+    # without cyclic GC, dropping the instance must free its summands even
+    # though every summand carries its presentation and tau
+    gc.disable()
+    try:
+        inst = family_instance(2, 2)
+        report = verify_tilting(inst)
+        m = inst.module_M(r(0))
+        assert m._presentation is not None and m._tau is not None
+        ref = weakref.ref(m)
+        del inst, report, m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("a1,a2", [(3, 3), (2, 4)])
+def test_ext_table_on_shared_summands_matches_fresh_copies(a1, a2):
+    inst = family_instance(a1, a2)
+    verts = inst.vertices
+
+    def fresh(x):
+        return reps.thin_from_support(inst.algebra, inst.support_M(x))
+
+    shared = [[reps.ext1_dim(inst.module_M(x), inst.module_M(y)) for y in verts] for x in verts]
+    assert shared == [[reps.ext1_dim(fresh(x), fresh(y)) for y in verts] for x in verts]
 
 
 # -- hom, ext, stable hom -----------------------------------------------------------

@@ -56,15 +56,18 @@ def test_ext_equals_stable_hom_of_tau():
 
 def test_end_quiver_standalone():
     inst = family_instance(2, 3)
-    endq, relations_ok = end_quiver(inst)
+    basis_cache = {
+        (x, y): reps.hom_basis(inst.module_M(x), inst.module_M(y))
+        for x in inst.vertices
+        for y in inst.vertices
+    }
+    endq, relations_ok = end_quiver(inst, basis_cache)
     assert relations_ok
     assert sorted(endq.arrows) == sorted(opposite(inst.quiver).arrows)
 
 
-def test_verify_end_iso_returns_bijection():
-    from quivertilt.tilting import verify_end_iso
-
+def test_end_iso_to_qop_is_bijection():
     for (a1, a2) in [(1, 3), (2, 2), (3, 2)]:
-        iso = verify_end_iso(family_instance(a1, a2))
+        iso = verify_tilting(family_instance(a1, a2)).end_iso_to_Qop
         assert iso is not None
         assert sorted(iso) == sorted(iso.values())
