@@ -4,6 +4,7 @@ structure of the Jacobian algebras of the cyclic quiver family Q[a1,a2]."""
 from .algebra import BoundAlgebra, Path, PathMatrix, build_algebra, build_quiver
 from .cluster import (
     MutationWord,
+    MuReplay,
     Seed,
     apply_word,
     build_mu,
@@ -13,6 +14,7 @@ from .cluster import (
     g_vector,
     initial_seed,
     mutate_seed,
+    replay_mu,
     verify_T_maps_to_shift,
     verify_acyclic_type,
     verify_order_two,

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .algebra import build_quiver
 from .errors import SignCoherenceViolation, UnsupportedInput, UnsupportedParameters
 from .family import FamilyInstance
 from .fpoly import IntPoly, LaurentPoly
@@ -84,9 +85,6 @@ class Seed:
 
     def exchange_matrix(self) -> ExchangeMatrix:
         return ExchangeMatrix(self.b, self.labels)
-
-    def quiver(self) -> Quiver:
-        return self.exchange_matrix().to_quiver()
 
     def g_column(self, k: int) -> tuple[int, ...]:
         return tuple(self.g[i][k] for i in range(self.n))
@@ -308,10 +306,30 @@ def cc_character(m: Representation, quiver: Quiver) -> LaurentPoly:
 # -- section-7 verifications ---------------------------------------------------
 
 
+@dataclass(frozen=True)
+class MuReplay:
+    """The seeds along mu that more than one section-7 check reads, each
+    reached by continuing the previous one: mu_R Q, mu_S mu_R Q, mu Q and
+    mu mu Q."""
+
+    word: MutationWord
+    base: Seed
+    after_s: Seed
+    mu: Seed
+    mu2: Seed
+
+
+def replay_mu(a1: int, a2: int, track_f: bool = True) -> MuReplay:
+    """Apply mu twice to the initial seed of Q[a1,a2], one mutation per step."""
+    word = build_mu(a1, a2)
+    base = apply_word(initial_seed(build_quiver(a1, a2), track_f), word.mu_r)
+    after_s = apply_word(base, word.mu_s)
+    mu = apply_word(after_s, word.mu_t + tuple(reversed(word.mu_r)))
+    return MuReplay(word, base, after_s, mu, apply_word(mu, word.mu))
+
+
 def _mu_r_matrix(a1: int, a2: int) -> tuple[MutationWord, ExchangeMatrix]:
     """The mutation word and the exchange matrix of mu_R Q."""
-    from .algebra import build_quiver
-
     word = build_mu(a1, a2)
     b = to_exchange_matrix(build_quiver(a1, a2))
     for k in word.mu_r:
@@ -387,19 +405,14 @@ def verify_acyclic_type(a1: int, a2: int) -> TypeCheck:
     return TypeCheck(label, expected_type(a1, a2), acyclic, data, expected_data)
 
 
-def verify_palindrome_lemma(a1: int, a2: int, track_f: bool = True) -> bool:
+def verify_palindrome_lemma(replay: MuReplay) -> bool:
     """mu_S applied forwards and backwards to the seed reached by mu_R give
     the same seed, and dually for mu_T."""
-    from .algebra import build_quiver
-
-    word = build_mu(a1, a2)
-    base = apply_word(initial_seed(build_quiver(a1, a2), track_f), word.mu_r)
-    for block in (word.mu_s, word.mu_t):
-        fwd = apply_word(base, block)
-        back = apply_word(base, tuple(reversed(block)))
-        if not fwd.same_data(back):
-            return False
-    return True
+    word, base = replay.word, replay.base
+    if not replay.after_s.same_data(apply_word(base, tuple(reversed(word.mu_s)))):
+        return False
+    fwd = apply_word(base, word.mu_t)
+    return fwd.same_data(apply_word(base, tuple(reversed(word.mu_t))))
 
 
 @dataclass(frozen=True)
@@ -408,18 +421,13 @@ class OrderTwoResult:
     permutation: Optional[dict[Vertex, Vertex]]
 
 
-def verify_order_two(a1: int, a2: int, track_f: bool = True) -> OrderTwoResult:
+def verify_order_two(replay: MuReplay) -> OrderTwoResult:
     """mu applied twice returns the initial seed up to a slot relabeling:
     C and G become the same permutation matrix, B is conjugated by it, and
     every F-polynomial returns to 1 (so the cluster variables are exactly the
     initial variables, permuted)."""
-    from .algebra import build_quiver
-
-    word = build_mu(a1, a2)
-    quiver = build_quiver(a1, a2)
-    seed = initial_seed(quiver, track_f)
-    seed = apply_word(seed, word.mu)
-    seed = apply_word(seed, word.mu)
+    seed = replay.mu2
+    b0 = to_exchange_matrix(build_quiver(replay.word.a1, replay.word.a2)).entries
     n = seed.n
     perm: dict[int, int] = {}
     for k in range(n):
@@ -435,7 +443,7 @@ def verify_order_two(a1: int, a2: int, track_f: bool = True) -> OrderTwoResult:
             return OrderTwoResult(False, None)
     for i in range(n):
         for j in range(n):
-            if seed.b[i][j] != to_exchange_matrix(quiver).entries[perm[i]][perm[j]]:
+            if seed.b[i][j] != b0[perm[i]][perm[j]]:
                 return OrderTwoResult(False, None)
     if seed.f is not None and any(not p.is_one() for p in seed.f):
         return OrderTwoResult(False, None)
@@ -454,22 +462,20 @@ class ShiftResult:
         return self.g_multiset_ok and (not self.laurent_checked or self.pairing is not None)
 
 
-def verify_T_maps_to_shift(instance: FamilyInstance, laurent_cap: int = 12) -> ShiftResult:
+def verify_T_maps_to_shift(instance: FamilyInstance, replay: MuReplay) -> ShiftResult:
     """After the word mu, the seed's G-columns are the module exponents
-    {g°(M(x))} as a multiset; within the Laurent cap the cluster variables are
-    the module characters and the slot pairing x -> slot is returned
-    (M(x) corresponds to the shifted projective of the paired slot)."""
+    {g°(M(x))} as a multiset; when the replay tracks F-polynomials the cluster
+    variables are the module characters and the slot pairing x -> slot is
+    returned (M(x) corresponds to the shifted projective of the paired slot)."""
     quiver = instance.quiver
     n = quiver.n
-    track_f = n <= laurent_cap
-    word = build_mu(instance.a1, instance.a2)
-    seed = apply_word(initial_seed(quiver, track_f), word.mu)
+    seed = replay.mu
 
     expected_g = {x: cc_exponent(instance.module_M(x)) for x in quiver.vertices}
     got_g = [seed.g_column(k) for k in range(n)]
     g_ok = sorted(got_g) == sorted(expected_g.values())
 
-    if not track_f:
+    if seed.f is None:
         return ShiftResult(g_ok, None, False)
 
     expected_pairs = {

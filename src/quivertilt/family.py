@@ -207,12 +207,6 @@ class FamilyInstance:
             ("M", self.vertex_s(1) if a1 > 1 else r(a2), "I", r(a2 - 1)),
         ]
 
-    def count_submodules_classified(self, i: int) -> tuple[int, int, int]:
-        """Submodules of M(r_i) split as (supported at r_{a2}, supported at
-        r_0 but not r_{a2}, supported at neither); 0 counts as 'neither'."""
-        lattice = reps.submodules_thin(self.module_M(r(i)))
-        return reps.classify_submodule_counts(lattice, r(self.a2), r(0))
-
     def expected_classified_counts(self, i: int) -> tuple[int, int, int]:
         a1, a2 = self.a1, self.a2
         if i == 0:

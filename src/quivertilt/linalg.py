@@ -81,9 +81,6 @@ class Matrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self) -> "Matrix":
         return Matrix(
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],

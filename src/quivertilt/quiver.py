@@ -133,9 +133,6 @@ class Quiver:
     def in_degree(self, v: Vertex) -> int:
         return len(self.arrows_into(v))
 
-    def arrow_count(self, src: Vertex, dst: Vertex) -> int:
-        return sum(1 for a in self.arrows if a == (src, dst))
-
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:

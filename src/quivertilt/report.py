@@ -140,6 +140,20 @@ def _tilting_report(ctx):
     return ctx["tilting_report"]
 
 
+def _mu_replay(ctx):
+    if "mu_replay" not in ctx:
+        inst = ctx["instance"]
+        track_f = inst.quiver.n <= ctx["laurent_cap"]
+        ctx["mu_replay"] = cluster.replay_mu(inst.a1, inst.a2, track_f)
+    return ctx["mu_replay"]
+
+
+def _shift(ctx):
+    if "shift" not in ctx:
+        ctx["shift"] = cluster.verify_T_maps_to_shift(ctx["instance"], _mu_replay(ctx))
+    return ctx["shift"]
+
+
 def _check_submodule_counts(ctx, _cases, _seed) -> CheckResult:
     inst = ctx["instance"]
     expected_total = inst.a1 * inst.a2 + 1
@@ -147,7 +161,7 @@ def _check_submodule_counts(ctx, _cases, _seed) -> CheckResult:
     ok = True
     for i in range(inst.a2 + 1):
         lattice = reps.submodules_thin(inst.module_M(r(i)))
-        classified = inst.count_submodules_classified(i)
+        classified = reps.classify_submodule_counts(lattice, r(inst.a2), r(0))
         counts[f"r{i}"] = {"total": lattice.count, "classified": list(classified)}
         if lattice.count != expected_total or classified != inst.expected_classified_counts(i):
             ok = False
@@ -192,7 +206,7 @@ def _check_golden_fixture(ctx, _cases, _seed) -> CheckResult:
     word_nums = [labels[v] for v in word]
     if word_nums != [5, 1, 2, 1, 4, 3, 4, 5]:
         ok = False
-    shift = cluster.verify_T_maps_to_shift(inst, ctx["laurent_cap"])
+    shift = _shift(ctx)
     pairing_nums = {}
     if shift.pairing:
         pairing_nums = {labels[x]: labels[y] for x, y in shift.pairing.items()}
@@ -317,21 +331,20 @@ def _check_discipline(ctx, _cases, _seed) -> CheckResult:
 
 
 def _check_palindrome(ctx, _cases, _seed) -> CheckResult:
-    inst = ctx["instance"]
-    track_f = inst.quiver.n <= ctx["laurent_cap"]
-    ok = cluster.verify_palindrome_lemma(inst.a1, inst.a2, track_f)
+    replay = _mu_replay(ctx)
+    track_f = replay.base.f is not None
     return CheckResult(
         "palindrome",
         CHECK_STATEMENTS["palindrome"],
-        ok,
+        cluster.verify_palindrome_lemma(replay),
         witness={"laurent_level": "checked" if track_f else "skipped (cost cap)"},
     )
 
 
 def _check_order_two(ctx, _cases, _seed) -> CheckResult:
-    inst = ctx["instance"]
-    track_f = inst.quiver.n <= ctx["laurent_cap"]
-    res = cluster.verify_order_two(inst.a1, inst.a2, track_f)
+    replay = _mu_replay(ctx)
+    track_f = replay.base.f is not None
+    res = cluster.verify_order_two(replay)
     witness = {"laurent_level": "checked" if track_f else "skipped (cost cap)"}
     if res.permutation is not None:
         witness["slot_permutation"] = {
@@ -341,8 +354,7 @@ def _check_order_two(ctx, _cases, _seed) -> CheckResult:
 
 
 def _check_shift(ctx, _cases, _seed) -> CheckResult:
-    inst = ctx["instance"]
-    res = cluster.verify_T_maps_to_shift(inst, ctx["laurent_cap"])
+    res = _shift(ctx)
     witness = {
         "g_multiset": res.g_multiset_ok,
         "laurent_level": "checked" if res.laurent_checked else "skipped (cost cap)",

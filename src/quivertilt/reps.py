@@ -85,9 +85,6 @@ class Representation:
             return Matrix.identity(self.dims[path.source])
         return self._compose_arrows(path.arrows)
 
-    def dim_vector(self) -> tuple[int, ...]:
-        return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
-
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -622,21 +619,20 @@ def tau_inverse(m: Representation) -> Representation:
 
 
 def ext1_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(M, N) = dim coker(Hom(P0, N) -> Hom(Ω, N)) for the syzygy Ω
-    of the minimal presentation; exact for every M."""
+    """dim Ext^1(M, N), counted from the long exact sequence that Hom(-, N)
+    makes of 0 -> Ω -> P0 -> M -> 0 (the minimal presentation):
+
+        0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Ω, N) -> Ext^1(M, N) -> 0,
+
+    which ends there because Ext^1(P0, N) = 0.  By Yoneda,
+    dim Hom(P(x), N) = dim N_x.  Exact for every M."""
     if m.is_zero() or n.is_zero():
         return 0
     pres = minimal_projective_presentation(m)
     if pres.syzygy.is_zero():
         return 0
-    from_k = hom_basis(pres.syzygy, n)
-    if not from_k:
-        return 0
-    restricted = [pres.syzygy_inclusion.then(h).flatten() for h in hom_basis(pres.p0, n)]
-    restricted = [v for v in restricted if any(x != 0 for x in v)]
-    if not restricted:
-        return len(from_k)
-    return len(from_k) - Matrix(restricted).rank()
+    hom_p0 = sum(n.dims[x] for x in pres.p0_vertices)
+    return hom_dim(pres.syzygy, n) - hom_p0 + hom_dim(m, n)
 
 
 def injective_envelope(m: Representation) -> tuple[Representation, Morphism, tuple[Vertex, ...]]:
@@ -763,13 +759,6 @@ class SubmoduleSet:
     @property
     def count(self) -> int:
         return len(self.subsets)
-
-    def dimension_vectors(self) -> dict[tuple[Vertex, ...], int]:
-        out: dict[tuple[Vertex, ...], int] = {}
-        for sub in self.subsets:
-            key = tuple(sorted(sub))
-            out[key] = out.get(key, 0) + 1
-        return out
 
     def is_lattice(self) -> bool:
         pool = set(self.subsets)

@@ -47,7 +47,8 @@ def test_criterion_1_submodule_counts():
             lattice = reps.submodules_thin(inst.module_M(r(i)))
             if lattice.count != a1 * a2 + 1:
                 ok = False
-            if inst.count_submodules_classified(i) != inst.expected_classified_counts(i):
+            classified = reps.classify_submodule_counts(lattice, r(a2), r(0))
+            if classified != inst.expected_classified_counts(i):
                 ok = False
     verdict(1, "submodule counts", ok)
 
@@ -70,7 +71,7 @@ def test_criterion_2_golden_fixture():
         frozenset({3, 4, 5}),
     }
     ok &= [lab[v] for v in cluster.build_mu(2, 2).mu] == [5, 1, 2, 1, 4, 3, 4, 5]
-    shift = cluster.verify_T_maps_to_shift(inst, LAURENT_CAP)
+    shift = cluster.verify_T_maps_to_shift(inst, cluster.replay_mu(2, 2))
     pairing = {lab[x]: lab[y] for x, y in (shift.pairing or {}).items()}
     ok &= pairing == {1: 4, 2: 3, 3: 2, 4: 1, 5: 5}
     verdict(2, "golden fixture", ok)
@@ -157,13 +158,14 @@ def test_criterion_7_order_two_and_palindrome():
     for (a1, a2) in SWEEP:
         n = a2 + 2 * a1 - 1
         track_f = n <= LAURENT_CAP
-        if not cluster.verify_palindrome_lemma(a1, a2, track_f=track_f):
+        replay = cluster.replay_mu(a1, a2, track_f=track_f)
+        if not cluster.verify_palindrome_lemma(replay):
             ok = False
-        res = cluster.verify_order_two(a1, a2, track_f=track_f)
+        res = cluster.verify_order_two(replay)
         if not res.holds:
             ok = False
         # integer level must hold on the full sweep regardless of the cap
-        if not cluster.verify_order_two(a1, a2, track_f=False).holds:
+        if not cluster.verify_order_two(cluster.replay_mu(a1, a2, track_f=False)).holds:
             ok = False
     verdict(7, "order two and palindrome", ok)
 
@@ -177,7 +179,8 @@ def test_criterion_8_T_maps_to_shift():
     ok = True
     for (a1, a2) in SWEEP:
         inst = instance(a1, a2)
-        res = cluster.verify_T_maps_to_shift(inst, LAURENT_CAP)
+        replay = cluster.replay_mu(a1, a2, track_f=inst.quiver.n <= LAURENT_CAP)
+        res = cluster.verify_T_maps_to_shift(inst, replay)
         if not res.g_multiset_ok:
             ok = False
         if inst.quiver.n <= LAURENT_CAP and res.pairing is None:

@@ -7,6 +7,7 @@ from quivertilt.fpoly import LaurentPoly
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, TypeLabel, r, s, t, to_exchange_matrix
 from quivertilt import cluster, reps
+from quivertilt.report import run_checks
 
 SWEEP = [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (3, 3), (2, 4), (1, 5)]
 
@@ -172,14 +173,14 @@ def test_seed_sign_calibration():
     """Exactly the frozen convention reproduces the documented slot pairing
     of the (2,2) fixture; flipping the seed sign breaks it."""
     inst = family_instance(2, 2)
-    res = cluster.verify_T_maps_to_shift(inst)
+    res = cluster.verify_T_maps_to_shift(inst, cluster.replay_mu(2, 2))
     assert res.holds
     assert res.pairing == {s(1): t(1), r(2): r(0), r(0): r(2), t(1): s(1), r(1): r(1)}
 
     original = cluster.SEED_B_SIGN
     try:
         cluster.SEED_B_SIGN = -original
-        flipped = cluster.verify_T_maps_to_shift(inst)
+        flipped = cluster.verify_T_maps_to_shift(inst, cluster.replay_mu(2, 2))
         assert flipped.pairing is None
     finally:
         cluster.SEED_B_SIGN = original
@@ -221,25 +222,25 @@ def test_branch_data_after_mu_t_mu_r():
 
 def test_palindrome_lemma():
     for (a1, a2) in SWEEP:
-        assert cluster.verify_palindrome_lemma(a1, a2), (a1, a2)
+        assert cluster.verify_palindrome_lemma(cluster.replay_mu(a1, a2)), (a1, a2)
 
 
 def test_order_two():
     for (a1, a2) in SWEEP:
-        res = cluster.verify_order_two(a1, a2)
+        res = cluster.verify_order_two(cluster.replay_mu(a1, a2))
         assert res.holds, (a1, a2)
         assert res.permutation == {v: v for v in build_quiver(a1, a2).vertices}
 
 
 def test_order_two_integer_only():
-    res = cluster.verify_order_two(4, 5, track_f=False)
+    res = cluster.verify_order_two(cluster.replay_mu(4, 5, track_f=False))
     assert res.holds
 
 
 def test_shift_pairing_exists_on_sweep():
     for (a1, a2) in SWEEP:
         inst = family_instance(a1, a2)
-        res = cluster.verify_T_maps_to_shift(inst)
+        res = cluster.verify_T_maps_to_shift(inst, cluster.replay_mu(a1, a2))
         assert res.g_multiset_ok, (a1, a2)
         assert res.pairing is not None, (a1, a2)
         assert sorted(v.label for v in res.pairing) == sorted(
@@ -249,10 +250,34 @@ def test_shift_pairing_exists_on_sweep():
 
 def test_shift_respects_laurent_cap():
     inst = family_instance(2, 3)
-    res = cluster.verify_T_maps_to_shift(inst, laurent_cap=3)
+    res = cluster.verify_T_maps_to_shift(inst, cluster.replay_mu(2, 3, track_f=False))
     assert not res.laurent_checked
     assert res.pairing is None
     assert res.g_multiset_ok
+
+
+def test_run_checks_replays_mu_once(monkeypatch):
+    calls = []
+    original = cluster.mutate_seed
+
+    def counting(seed, k):
+        calls.append(k)
+        return original(seed, k)
+
+    monkeypatch.setattr(cluster, "mutate_seed", counting)
+    report = run_checks(2, 3, checks=["palindrome", "order-two", "t-to-shift"])
+    assert report.overall
+    word = cluster.build_mu(2, 3)
+    assert len(calls) == 2 * len(word.mu) + len(word.mu_s) + 2 * len(word.mu_t)
+
+
+@pytest.mark.parametrize("a1,a2", [(2, 2), (3, 4)])
+def test_replay_mu_matches_fresh_word_application(a1, a2):
+    replay = cluster.replay_mu(a1, a2)
+    word = cluster.build_mu(a1, a2)
+    once = cluster.apply_word(cluster.initial_seed(build_quiver(a1, a2)), word.mu)
+    assert replay.mu.same_data(once)
+    assert replay.mu2.same_data(cluster.apply_word(once, word.mu))
 
 
 def test_mu_quiver_isomorphic_to_q():
@@ -270,5 +295,6 @@ def test_beyond_default_sweep_integer_level():
     assert cluster.verify_source_sink_discipline(5, 6)
     tc = cluster.verify_acyclic_type(5, 6)
     assert tc.ok and tc.label == TypeLabel("TreeWild", (5, 6, 6))
-    assert cluster.verify_order_two(5, 6, track_f=False).holds
-    assert cluster.verify_palindrome_lemma(5, 6, track_f=False)
+    replay = cluster.replay_mu(5, 6, track_f=False)
+    assert cluster.verify_order_two(replay).holds
+    assert cluster.verify_palindrome_lemma(replay)

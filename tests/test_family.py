@@ -147,12 +147,14 @@ def test_submodule_totals_and_classified():
         for i in range(a2 + 1):
             lattice = reps.submodules_thin(inst.module_M(r(i)))
             assert lattice.count == a1 * a2 + 1
-            assert inst.count_submodules_classified(i) == inst.expected_classified_counts(i)
+            classified = reps.classify_submodule_counts(lattice, r(a2), r(0))
+            assert classified == inst.expected_classified_counts(i)
 
 
 def test_classified_example_221():
     inst = family_instance(2, 2)
-    assert inst.count_submodules_classified(1) == (2, 1, 2)
+    lattice = reps.submodules_thin(inst.module_M(r(1)))
+    assert reps.classify_submodule_counts(lattice, r(2), r(0)) == (2, 1, 2)
 
 
 def test_golden_submodules_of_M2(f22):

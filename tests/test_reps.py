@@ -188,6 +188,22 @@ def test_presentation_memo_is_cycle_free():
         gc.enable()
 
 
+def ext1_reference(m, n):
+    """dim Ext^1(M, N) as the cokernel of Hom(P0, N) -> Hom(Ω, N), measured
+    by rank: the reference for the dimension count in reps.ext1_dim."""
+    if m.is_zero() or n.is_zero():
+        return 0
+    pres = reps.minimal_projective_presentation(m)
+    if pres.syzygy.is_zero():
+        return 0
+    from_k = reps.hom_basis(pres.syzygy, n)
+    restricted = [pres.syzygy_inclusion.then(h).flatten() for h in reps.hom_basis(pres.p0, n)]
+    restricted = [v for v in restricted if any(x != 0 for x in v)]
+    if not restricted:
+        return len(from_k)
+    return len(from_k) - Matrix(restricted).rank()
+
+
 @pytest.mark.parametrize("a1,a2", [(3, 3), (2, 4)])
 def test_ext_table_on_shared_summands_matches_fresh_copies(a1, a2):
     inst = family_instance(a1, a2)
@@ -198,6 +214,20 @@ def test_ext_table_on_shared_summands_matches_fresh_copies(a1, a2):
 
     shared = [[reps.ext1_dim(inst.module_M(x), inst.module_M(y)) for y in verts] for x in verts]
     assert shared == [[reps.ext1_dim(fresh(x), fresh(y)) for y in verts] for x in verts]
+    reference = [
+        [ext1_reference(inst.module_M(x), inst.module_M(y)) for y in verts] for x in verts
+    ]
+    assert shared == reference
+
+
+def test_ext1_count_matches_reference_against_tau():
+    inst = family_instance(2, 3)
+    modules = [inst.module_M(x) for x in inst.vertices]
+    pairs = [(m, reps.tau(n)) for m in modules for n in modules]
+    pairs += [(reps.tau(m), n) for m in modules for n in modules]
+    values = [reps.ext1_dim(m, n) for m, n in pairs]
+    assert values == [ext1_reference(m, n) for m, n in pairs]
+    assert any(values)
 
 
 # -- hom, ext, stable hom -----------------------------------------------------------
