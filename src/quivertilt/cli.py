@@ -58,7 +58,7 @@ def _print_matrix(name: str, rows, labels) -> None:
 
 def cmd_verify(args) -> int:
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     rep = report.run_checks(
         args.a1,
@@ -172,24 +172,26 @@ def cmd_show(args) -> int:
         seed = cluster.initial_seed(inst.quiver, track_f=inst.quiver.n <= args.laurent_cap)
         word = _parse_word(args.word, inst) if args.word else []
         seed = cluster.apply_word(seed, word)
+        variables = None
+        if args.variables and seed.f is not None:
+            b0 = cluster.pattern_matrix(inst.quiver)
+            variables = [cluster.seed_variable(seed, k, b0).to_sorted_list() for k in range(seed.n)]
+        skipped = args.variables and seed.f is None
         if args.json:
             data = seed.to_json()
-            if args.variables and seed.f is not None:
-                b0 = cluster.pattern_matrix(inst.quiver)
-                data["variables"] = [
-                    cluster.seed_variable(seed, k, b0).to_sorted_list()
-                    for k in range(seed.n)
-                ]
+            if variables is not None:
+                data["variables"] = variables
+            if skipped:
+                data["variables_skipped"] = "n > laurent cap"
             print(json.dumps(data, indent=2))
         else:
             _print_matrix("B", seed.b, seed.labels)
             _print_matrix("C", seed.c, seed.labels)
             _print_matrix("G", seed.g, seed.labels)
-            if args.variables and seed.f is not None:
-                b0 = cluster.pattern_matrix(inst.quiver)
-                for k in range(seed.n):
-                    var = cluster.seed_variable(seed, k, b0)
-                    print(f"x[{seed.labels[k].label}] = {var.to_sorted_list()}")
+            for label, var in zip(seed.labels, variables or []):
+                print(f"x[{label.label}] = {var}")
+            if skipped:
+                print(f"variables skipped: n = {seed.n} > laurent cap {args.laurent_cap}")
     elif args.what == "homtable":
         table = [
             [reps.hom_dim(inst.module_M(x), inst.module_M(y)) for y in inst.vertices]

@@ -126,9 +126,6 @@ class FamilyInstance:
             at = v
         return Path(start, at, tuple(arrows))
 
-    def module_T(self) -> list[Representation]:
-        return [self.module_M(x) for x in self.vertices]
-
     # -- oracles ---------------------------------------------------------------
 
     def expected_tau_support(self, x: Vertex) -> frozenset[Vertex]:
@@ -181,12 +178,6 @@ class FamilyInstance:
             return 1
         # (r, t), (s, r), (s, t) all vanish
         return 0
-
-    def is_sincere(self) -> bool:
-        covered = set()
-        for x in self.vertices:
-            covered |= self.support_M(x)
-        return covered == set(self.vertices)
 
     def projective_summand_vertices(self) -> frozenset[Vertex]:
         """Vertices x with M(x) projective: r_{a2}, r_{a2-1}, t_{a1-1} in

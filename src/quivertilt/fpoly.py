@@ -56,9 +56,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntPoly)
@@ -125,13 +122,6 @@ class IntPoly:
                     remainder.pop(key, None)
         return IntPoly(self.nvars, quotient)
 
-    def monomial_count(self) -> int:
-        return len(self.terms)
-
-    def weight_count(self) -> int:
-        """Number of monomials counted with coefficient multiplicity."""
-        return sum(abs(c) for c in self.terms.values())
-
     def to_sorted_list(self) -> list[tuple[list[int], int]]:
         return [[list(m), c] for m, c in sorted(self.terms.items())]
 
@@ -179,9 +169,6 @@ class LaurentPoly:
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return LaurentPoly(self.nvars, out)
-
-    def is_subtraction_free(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
 
     def to_sorted_list(self) -> list[tuple[list[int], int]]:
         return [[list(m), c] for m, c in sorted(self.terms.items())]

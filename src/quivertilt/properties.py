@@ -116,17 +116,18 @@ def run_property_suite(cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED) -> 
 
         # AR formula
         bump("ar_formula")
-        lhs = reps.ext1_dim(m, n)
-        rhs = reps.stable_hom_dim(n, reps.tau(m), "injectives")
+        hom_mn = reps.hom_dim(m, n)
+        lhs = reps.ext1_dim(m, n, hom_mn)
+        rhs = reps.stable_hom_dim(n, reps.tau(m))
         if lhs != rhs:
             fail("ar_formula", f"{inst.algebra.name} {m} {n}: ext={lhs} stable={rhs}")
 
         # Hom additivity over direct sums in both arguments
         bump("hom_additivity")
         mm, _ = reps.direct_sum([m, n])
-        if reps.hom_dim(mm, n) != reps.hom_dim(m, n) + reps.hom_dim(n, n):
+        if reps.hom_dim(mm, n) != hom_mn + reps.hom_dim(n, n):
             fail("hom_additivity", f"{inst.algebra.name} first argument")
-        if reps.hom_dim(m, mm) != reps.hom_dim(m, m) + reps.hom_dim(m, n):
+        if reps.hom_dim(m, mm) != reps.hom_dim(m, m) + hom_mn:
             fail("hom_additivity", f"{inst.algebra.name} second argument")
 
         # submodule lattice closure

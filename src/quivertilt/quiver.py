@@ -144,14 +144,6 @@ class Quiver:
             else [[a.label, b.label] for (a, b) in self.potential],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "Quiver":
-        vertices = tuple(parse_vertex(x) for x in data["vertices"])
-        arrows = tuple((parse_vertex(a), parse_vertex(b)) for a, b in data["arrows"])
-        potential = data.get("potential")
-        if potential is not None:
-            potential = tuple((parse_vertex(a), parse_vertex(b)) for a, b in potential)
-        return Quiver(vertices, arrows, potential)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,11 @@ def run_checks(
         raise UnsupportedParameters(f"need a1 >= 1 and a2 >= 2, got ({a1}, {a2})")
     if property_cases < 0:
         raise UnsupportedParameters(f"property_cases must be >= 0, got {property_cases}")
-    selected = [CHECK_ALIASES.get(c, c) for c in checks] if checks else list(ALL_CHECKS)
+    if laurent_cap < 0:
+        raise UnsupportedParameters(f"laurent_cap must be >= 0, got {laurent_cap}")
+    selected = [CHECK_ALIASES.get(c, c) for c in checks] if checks is not None else list(ALL_CHECKS)
+    if not selected:
+        raise UnsupportedParameters("no check selected")
     unknown = set(selected) - set(ALL_CHECKS)
     if unknown:
         raise UnsupportedParameters(f"unknown checks: {sorted(unknown)}")

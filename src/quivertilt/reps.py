@@ -105,25 +105,6 @@ class Representation:
             m.is_zero() or m == Matrix([[1]]) for m in self.maps.values() if m.shape == (1, 1)
         )
 
-    def support_is_connected(self) -> bool:
-        supp = self.support()
-        if not supp:
-            return False
-        adj = {v: set() for v in supp}
-        for (a, b), m in self.maps.items():
-            if a in supp and b in supp and not m.is_zero():
-                adj[a].add(b)
-                adj[b].add(a)
-        seen: set[Vertex] = set()
-        stack = [next(iter(sorted(supp)))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v])
-        return seen == supp
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Representation)
@@ -618,78 +599,35 @@ def tau_inverse(m: Representation) -> Representation:
 # -- Ext and stable Hom -------------------------------------------------------
 
 
-def ext1_dim(m: Representation, n: Representation) -> int:
+def ext1_dim(m: Representation, n: Representation, hom_mn: int) -> int:
     """dim Ext^1(M, N), counted from the long exact sequence that Hom(-, N)
     makes of 0 -> Ω -> P0 -> M -> 0 (the minimal presentation):
 
         0 -> Hom(M, N) -> Hom(P0, N) -> Hom(Ω, N) -> Ext^1(M, N) -> 0,
 
     which ends there because Ext^1(P0, N) = 0.  By Yoneda,
-    dim Hom(P(x), N) = dim N_x.  Exact for every M."""
+    dim Hom(P(x), N) = dim N_x.  The caller passes hom_mn = dim Hom(M, N),
+    which it already holds.  Exact for every M."""
     if m.is_zero() or n.is_zero():
         return 0
     pres = minimal_projective_presentation(m)
     if pres.syzygy.is_zero():
         return 0
     hom_p0 = sum(n.dims[x] for x in pres.p0_vertices)
-    return hom_dim(pres.syzygy, n) - hom_p0 + hom_dim(m, n)
+    return hom_dim(pres.syzygy, n) - hom_p0 + hom_mn
 
 
-def injective_envelope(m: Representation) -> tuple[Representation, Morphism, tuple[Vertex, ...]]:
-    """I(M) = ⊕ I(x)^{dim soc_x} with an injective structure map M -> I(M)."""
-    algebra = m.algebra
-    soc = socle_matrices(m)
-    pieces: list[tuple[Vertex, tuple[Fraction, ...]]] = []
-    for x in algebra.quiver.vertices:
-        s_mat = soc[x]
-        if s_mat.ncols == 0:
-            continue
-        lam_t = s_mat.transpose().solve(Matrix.identity(s_mat.ncols))
-        if lam_t is None:
-            raise ShapeError("socle basis is degenerate")
-        for i in range(s_mat.ncols):
-            pieces.append((x, lam_t.column(i)))
-    if not pieces:
-        env = zero_rep(algebra)
-        return env, Morphism(m, env, {}, check=False), ()
-    verts = tuple(x for x, _ in pieces)
-    summands = [injective(algebra, x) for x in verts]
-    env, offsets = direct_sum(summands)
-    blocks = {
-        y: [[Fraction(0)] * m.dims[y] for _ in range(env.dims[y])]
-        for y in algebra.quiver.vertices
-    }
-    for idx, (x, lam) in enumerate(pieces):
-        lam_row = Matrix([lam])
-        for y in algebra.quiver.vertices:
-            for w_idx, w in enumerate(algebra.basis_paths(y, x)):
-                row_vals = (lam_row @ m.path_action(w)).rows[0]
-                target_row = offsets[idx][y] + w_idx
-                for j in range(m.dims[y]):
-                    blocks[y][target_row][j] += row_vals[j]
-    emb = Morphism(
-        m, env, {y: Matrix(blocks[y], ncols=m.dims[y]) for y in algebra.quiver.vertices}
-    )
-    for y in algebra.quiver.vertices:
-        if emb.blocks[y].transpose().rank() != m.dims[y]:
-            raise ShapeError("injective envelope map is not injective")
-    return env, emb, verts
-
-
-def stable_hom_dim(m: Representation, n: Representation, modulo: str) -> int:
-    """dim Hom(M, N) minus morphisms factoring through projectives (via the
-    projective cover of N) or injectives (via the injective envelope of M)."""
+def stable_hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N) minus the morphisms that factor through an injective,
+    i.e. through the injective envelope M -> I(M), built as the dual of the
+    projective cover P -> DM."""
     full = hom_basis(m, n)
     if not full:
         return 0
-    if modulo == "projectives":
-        p_n, cover, _, _ = projective_cover(n)
-        factored = [g.then(cover).flatten() for g in hom_basis(m, p_n)]
-    elif modulo == "injectives":
-        _, emb, _ = injective_envelope(m)
-        factored = [emb.then(h).flatten() for h in hom_basis(emb.target, n)]
-    else:
-        raise UnsupportedInput(f"modulo must be 'projectives' or 'injectives', got {modulo!r}")
+    p, cover, _, _ = projective_cover(dual(m))
+    env = dual(p)
+    emb = Morphism(m, env, {v: b.transpose() for v, b in cover.blocks.items()}, check=False)
+    factored = [emb.then(h).flatten() for h in hom_basis(env, n)]
     factored = [v for v in factored if any(x != 0 for x in v)]
     if not factored:
         return len(full)

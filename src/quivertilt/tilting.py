@@ -87,23 +87,6 @@ class TiltingReport:
     def overall(self) -> bool:
         return all(self.all_verdicts.values())
 
-    def to_json(self) -> dict:
-        return {
-            "a1": self.a1,
-            "a2": self.a2,
-            "summand_count": self.summand_count,
-            "vertex_count": self.vertex_count,
-            "pd_le1": {v.label: ok for v, ok in self.pd_le1.items()},
-            "ext_table": self.ext_table,
-            "hom_tau_table": self.hom_tau_table,
-            "hom_table": self.hom_table,
-            "end_quiver": self.end_quiver.to_json(),
-            "end_iso_to_Qop": None
-            if self.end_iso_to_Qop is None
-            else {a.label: b.label for a, b in self.end_iso_to_Qop.items()},
-            "verdicts": self.all_verdicts,
-        }
-
 
 def _zero_path_property(instance: FamilyInstance, basis_cache) -> bool:
     """Nonzero morphisms from thin summands kill downstream vertices once they
@@ -216,7 +199,10 @@ def verify_tilting(instance: FamilyInstance) -> TiltingReport:
     hom_table = [[len(basis_cache[(x, y)]) for y in verts] for x in verts]
     expected = [[instance.expected_hom_dim(x, y) for y in verts] for x in verts]
     ext_table = [
-        [reps.ext1_dim(instance.module_M(x), instance.module_M(y)) for y in verts]
+        [
+            reps.ext1_dim(instance.module_M(x), instance.module_M(y), len(basis_cache[(x, y)]))
+            for y in verts
+        ]
         for x in verts
     ]
     hom_tau_table = [

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quivertilt.cli import main
 
 
@@ -267,3 +269,41 @@ def test_verify_negative_property_cases_exit_two(capsys):
     assert code == 2
     assert "property_cases" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_verify_empty_checks_exit_two(capsys, checks):
+    code, out, err = run(capsys, "verify", "--a1", "2", "--a2", "2", "--checks", checks)
+    assert code == 2
+    assert "no check" in err
+    assert "pass" not in out
+
+
+def test_verify_negative_laurent_cap_exit_two(capsys):
+    code, out, err = run(
+        capsys, "verify", "--a1", "2", "--a2", "2", "--checks", "type", "--laurent-cap", "-1"
+    )
+    assert code == 2
+    assert "laurent_cap" in err
+    assert "pass" not in out
+
+
+def test_verify_negative_laurent_cap_env_exit_two(capsys, monkeypatch):
+    monkeypatch.setenv("QUIVERTILT_LAURENT_CAP", "-5")
+    code, out, err = run(capsys, "verify", "--a1", "2", "--a2", "2", "--checks", "type")
+    assert code == 2
+    assert "laurent_cap" in err
+    assert "pass" not in out
+
+
+def test_show_seed_variables_skipped_above_cap(capsys):
+    argv = ["show", "seed", "--a1", "2", "--a2", "2", "--variables", "--laurent-cap", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "variables skipped: n = 5 > laurent cap 3" in out
+    assert "x[" not in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["variables_skipped"] == "n > laurent cap"
+    assert "variables" not in data

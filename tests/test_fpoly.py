@@ -57,15 +57,15 @@ def test_negative_exponent_rejected():
 
 def test_counts():
     a = P(2, {(1, 0): 2, (0, 0): 1})
-    assert a.monomial_count() == 2
-    assert a.weight_count() == 3
+    assert len(a.terms) == 2
+    assert sum(a.terms.values()) == 3
 
 
 def test_laurent_add():
     v = LaurentPoly(4, {(-1, 0, 1, 0): 1, (-1, 1, 0, 0): 1})
     w = v + LaurentPoly(4, {(-1, 0, 1, 0): -1})
     assert w.terms == {(-1, 1, 0, 0): 1}
-    assert v.is_subtraction_free()
+    assert all(c > 0 for c in v.terms.values())
 
 
 def test_sorted_serialization():

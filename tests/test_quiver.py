@@ -230,11 +230,6 @@ def test_s1_source_in_mu_r_quiver():
 # -- serialization ---------------------------------------------------------------
 
 
-def test_json_round_trip():
-    q = build_quiver(2, 3)
-    assert Quiver.from_json(q.to_json()) == q
-
-
 def test_parse_vertex():
     assert parse_vertex("r10") == r(10)
     with pytest.raises(VertexError):

@@ -188,6 +188,12 @@ def test_presentation_memo_is_cycle_free():
         gc.enable()
 
 
+def ext1(m, n):
+    """ext1_dim with the Hom(M, N) dimension a caller without a Hom table
+    computes itself."""
+    return reps.ext1_dim(m, n, reps.hom_dim(m, n))
+
+
 def ext1_reference(m, n):
     """dim Ext^1(M, N) as the cokernel of Hom(P0, N) -> Hom(Ω, N), measured
     by rank: the reference for the dimension count in reps.ext1_dim."""
@@ -212,8 +218,8 @@ def test_ext_table_on_shared_summands_matches_fresh_copies(a1, a2):
     def fresh(x):
         return reps.thin_from_support(inst.algebra, inst.support_M(x))
 
-    shared = [[reps.ext1_dim(inst.module_M(x), inst.module_M(y)) for y in verts] for x in verts]
-    assert shared == [[reps.ext1_dim(fresh(x), fresh(y)) for y in verts] for x in verts]
+    shared = [[ext1(inst.module_M(x), inst.module_M(y)) for y in verts] for x in verts]
+    assert shared == [[ext1(fresh(x), fresh(y)) for y in verts] for x in verts]
     reference = [
         [ext1_reference(inst.module_M(x), inst.module_M(y)) for y in verts] for x in verts
     ]
@@ -225,7 +231,7 @@ def test_ext1_count_matches_reference_against_tau():
     modules = [inst.module_M(x) for x in inst.vertices]
     pairs = [(m, reps.tau(n)) for m in modules for n in modules]
     pairs += [(reps.tau(m), n) for m in modules for n in modules]
-    values = [reps.ext1_dim(m, n) for m, n in pairs]
+    values = [ext1(m, n) for m, n in pairs]
     assert values == [ext1_reference(m, n) for m, n in pairs]
     assert any(values)
 
@@ -246,39 +252,26 @@ def test_hom_requires_same_algebra(a22, a2_quiver):
 def test_ext1_hereditary_example(a2_quiver):
     s1 = reps.simple(a2_quiver, r(1))
     s2 = reps.simple(a2_quiver, r(2))
-    assert reps.ext1_dim(s1, s2) == 1
-    assert reps.ext1_dim(s2, s1) == 0
+    assert ext1(s1, s2) == 1
+    assert ext1(s2, s1) == 0
 
 
 def test_ext1_vanishes_on_projectives(a22):
     for x in a22.quiver.vertices:
         p = reps.projective(a22, x)
         for y in a22.quiver.vertices:
-            assert reps.ext1_dim(p, reps.simple(a22, y)) == 0
-
-
-def test_stable_hom_projectives_examples(a2_quiver, a22):
-    s2 = reps.simple(a2_quiver, r(2))  # = P(2) over the path algebra
-    assert reps.stable_hom_dim(s2, s2, "projectives") == 0
-    p = reps.projective(a22, s(1))
-    for y in a22.quiver.vertices:
-        assert reps.stable_hom_dim(p, reps.injective(a22, y), "projectives") == 0
+            assert ext1(p, reps.simple(a22, y)) == 0
 
 
 def test_stable_hom_injectives_example(a2_quiver):
     s1 = reps.simple(a2_quiver, r(1))  # = I(1) over the path algebra
-    assert reps.stable_hom_dim(s1, s1, "injectives") == 0
-
-
-def test_stable_hom_bad_mode(a22):
-    with pytest.raises(UnsupportedInput):
-        reps.stable_hom_dim(reps.simple(a22, r(0)), reps.simple(a22, r(0)), "nonsense")
+    assert reps.stable_hom_dim(s1, s1) == 0
 
 
 def test_ar_formula_on_a2(a2_quiver):
     s1 = reps.simple(a2_quiver, r(1))
     s2 = reps.simple(a2_quiver, r(2))
-    assert reps.ext1_dim(s1, s2) == reps.stable_hom_dim(s2, reps.tau(s1), "injectives")
+    assert ext1(s1, s2) == reps.stable_hom_dim(s2, reps.tau(s1))
 
 
 # -- pd certificates ------------------------------------------------------------------
@@ -366,7 +359,7 @@ def test_representation_json(a22):
 
 def test_stable_hom_of_tau_vanishes_for_family(a22):
     m_r0 = reps.thin_from_support(a22, [r(1), r(2), s(1)])
-    assert reps.stable_hom_dim(m_r0, reps.tau(m_r0), "injectives") == 0
+    assert reps.stable_hom_dim(m_r0, reps.tau(m_r0)) == 0
 
 
 def test_projective_t_branch_column():

@@ -49,8 +49,9 @@ def test_ext_equals_stable_hom_of_tau():
     taus = {x: reps.tau(inst.module_M(x)) for x in inst.vertices}
     for x in inst.vertices:
         for y in inst.vertices:
-            ext = reps.ext1_dim(inst.module_M(x), inst.module_M(y))
-            stable = reps.stable_hom_dim(inst.module_M(y), taus[x], "injectives")
+            m, n = inst.module_M(x), inst.module_M(y)
+            ext = reps.ext1_dim(m, n, reps.hom_dim(m, n))
+            stable = reps.stable_hom_dim(n, taus[x])
             assert ext == stable == 0
 
 
@@ -71,3 +72,19 @@ def test_end_iso_to_qop_is_bijection():
         iso = verify_tilting(family_instance(a1, a2)).end_iso_to_Qop
         assert iso is not None
         assert sorted(iso) == sorted(iso.values())
+
+
+def test_verify_tilting_solves_each_summand_pair_once(monkeypatch):
+    inst = family_instance(3, 3)
+    summands = {id(inst.module_M(x)) for x in inst.vertices}
+    solved = []
+    real = reps.hom_basis
+
+    def recording(m, n):
+        if id(m) in summands and id(n) in summands:
+            solved.append((id(m), id(n)))
+        return real(m, n)
+
+    monkeypatch.setattr(reps, "hom_basis", recording)
+    assert verify_tilting(inst).overall
+    assert len(solved) == len(set(solved)) == len(summands) ** 2
