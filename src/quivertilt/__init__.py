@@ -31,8 +31,6 @@ from .quiver import (
     Vertex,
     classify_acyclic_type,
     find_isomorphism,
-    is_sink,
-    is_source,
     mutate_matrix,
     opposite,
     to_exchange_matrix,

@@ -134,9 +134,6 @@ class BoundAlgebra:
                     return True
         return False
 
-    def path_is_zero(self, arrows: tuple[Arrow, ...]) -> bool:
-        return self._contains_forbidden(arrows)
-
     def compose(self, p: Path, q: Path) -> Optional[Path]:
         """p followed by q (p: x->y, q: y->z); None if the residue is zero."""
         if p.target != q.source:

@@ -258,8 +258,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "laurent_cap", None) is None:
+        if args.laurent_cap is None:
             args.laurent_cap = _default_cap()
+        if args.laurent_cap < 0:
+            raise UnsupportedParameters(f"laurent_cap must be >= 0, got {args.laurent_cap}")
         return args.func(args)
     except (UnsupportedParameters, VertexError) as exc:
         # bad parameters or selectors are usage errors

@@ -13,7 +13,7 @@ from .algebra import BoundAlgebra, Path, PathMatrix, build_algebra, combo_of
 from .errors import UnsupportedParameters, VertexError
 from .quiver import Quiver, Vertex, r, s, t
 from . import reps
-from .reps import Morphism, Representation
+from .reps import Representation
 
 
 @dataclass
@@ -107,14 +107,8 @@ class FamilyInstance:
         path = self._branch_path(self.vertex_s(i), chain)
         op = self.algebra.opposite_algebra()
         pm = PathMatrix((path.reversed().source,), (path.reversed().target,), ((combo_of(path.reversed()),),))
-        g_op = reps.realize_path_matrix(op, pm)
-        # g_op: P^op(s_i) -> P^op(r_a2); dualizing swaps source and target
-        f = Morphism(
-            reps.dual(g_op.target),
-            reps.dual(g_op.source),
-            {v: g_op.blocks[v].transpose() for v in self.vertices},
-            check=False,
-        )
+        # P^op(s_i) -> P^op(r_a2); its dual is I(r_a2) -> I(s_i)
+        f = reps.dual_morphism(reps.realize_path_matrix(op, pm))
         ker, _ = reps.kernel(f)
         return ker
 
@@ -222,14 +216,5 @@ def radical_layers(m: Representation) -> list[list[Vertex]]:
             v for v in m.algebra.quiver.vertices if current.dims[v] - rad_mats[v].ncols > 0
         )
         layers.append(layer)
-        dims = {v: rad_mats[v].ncols for v in m.algebra.quiver.vertices}
-        maps = {}
-        for arrow in m.algebra.quiver.arrows:
-            src, dst = arrow
-            rhs = current.maps[arrow] @ rad_mats[src]
-            sol = rad_mats[dst].solve(rhs)
-            if sol is None:
-                raise AssertionError("radical is not arrow-stable")
-            maps[arrow] = sol
-        current = Representation(m.algebra, dims, maps, check=False)
+        current, _ = reps.restrict(current, rad_mats)
     return layers

@@ -100,9 +100,6 @@ class Matrix:
             ncols=self.ncols,
         )
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
-
     def scale(self, c: Scalar) -> "Matrix":
         c = _frac(c)
         return Matrix([[c * x for x in row] for row in self.rows], ncols=self.ncols)
@@ -223,31 +220,6 @@ class Matrix:
             for j in range(rhs.ncols):
                 sol[c][j] = red.rows[r][self.ncols + j]
         return Matrix(sol, ncols=rhs.ncols)
-
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ShapeError("determinant of non-square matrix")
-        m = [list(row) for row in self.rows]
-        n = self.nrows
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows

@@ -226,18 +226,6 @@ def opposite(q: Quiver) -> Quiver:
     return Quiver(q.vertices, tuple((dst, src) for (src, dst) in q.arrows), potential)
 
 
-def is_source(q: Quiver, v: Vertex) -> bool:
-    if v not in q.vertices:
-        raise VertexError(f"{v} not in quiver")
-    return q.in_degree(v) == 0
-
-
-def is_sink(q: Quiver, v: Vertex) -> bool:
-    if v not in q.vertices:
-        raise VertexError(f"{v} not in quiver")
-    return q.out_degree(v) == 0
-
-
 # -- isomorphism search ------------------------------------------------------
 
 

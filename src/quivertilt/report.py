@@ -132,7 +132,16 @@ def run_checks(
             continue
         runner = _RUNNERS[check_id]
         start = time.perf_counter()
-        res = runner(ctx, property_cases, property_seed)
+        try:
+            res = runner(ctx, property_cases, property_seed)
+        except Exception as exc:
+            # a crashing check fails on its own; the remaining checks still run
+            res = CheckResult(
+                check_id,
+                CHECK_STATEMENTS[check_id],
+                False,
+                witness={"error": f"{type(exc).__name__}: {exc}"},
+            )
         res.seconds = time.perf_counter() - start
         results.append(res)
     return VerificationReport(a1, a2, results, laurent_cap)

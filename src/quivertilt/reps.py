@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .algebra import BoundAlgebra, Path, PathCombo, PathMatrix
+from .algebra import BoundAlgebra, PathCombo, PathMatrix
 from .errors import RelationViolation, ShapeError, UnsupportedInput, VertexError
 from .linalg import Matrix
 from .quiver import Arrow, Vertex
@@ -67,23 +67,13 @@ class Representation:
             if not word:
                 continue
             src = word[0][0]
-            composed = self._compose_arrows(word)
+            composed = Matrix.identity(self.dims[src])
+            for a in word:
+                composed = self.maps[a] @ composed
             if not composed.is_zero():
                 raise RelationViolation(
                     f"composition along forbidden word starting at {src} is nonzero"
                 )
-
-    def _compose_arrows(self, arrows: Sequence[Arrow]) -> Matrix:
-        mat = Matrix.identity(self.dims[arrows[0][0]])
-        for a in arrows:
-            mat = self.maps[a] @ mat
-        return mat
-
-    def path_action(self, path: Path) -> Matrix:
-        """The composed map M_source -> M_target along the path."""
-        if path.is_lazy:
-            return Matrix.identity(self.dims[path.source])
-        return self._compose_arrows(path.arrows)
 
     @property
     def total_dim(self) -> int:
@@ -149,16 +139,14 @@ def projective(algebra: BoundAlgebra, x: Vertex) -> Representation:
     maps = {}
     for arrow in algebra.quiver.arrows:
         src, dst = arrow
-        src_paths = algebra.basis_paths(x, src)
-        dst_paths = algebra.basis_paths(x, dst)
-        rows = []
-        for p_dst in dst_paths:
-            row = []
-            for p_src in src_paths:
-                extended = p_src.arrows + (arrow,)
-                row.append(1 if (not algebra.path_is_zero(extended)) and extended == p_dst.arrows else 0)
-            rows.append(row)
-        maps[arrow] = Matrix(rows, ncols=len(src_paths))
+        row_of = {p.arrows: i for i, p in enumerate(algebra.basis_paths(x, dst))}
+        rows = [[0] * dims[src] for _ in range(dims[dst])]
+        for j, p in enumerate(algebra.basis_paths(x, src)):
+            # p.a is zero in the algebra exactly when it is not a basis path
+            i = row_of.get(p.arrows + (arrow,))
+            if i is not None:
+                rows[i][j] = 1
+        maps[arrow] = Matrix(rows, ncols=dims[src])
     return Representation(algebra, dims, maps)
 
 
@@ -169,6 +157,13 @@ def dual(m: Representation) -> Representation:
     for (src, dst), mat in m.maps.items():
         maps[(dst, src)] = mat.transpose()
     return Representation(op, dict(m.dims), maps)
+
+
+def dual_morphism(f: Morphism) -> Morphism:
+    """D f: DN -> DM for f: M -> N, with every block transposed."""
+    return Morphism(
+        dual(f.target), dual(f.source), {v: b.transpose() for v, b in f.blocks.items()}, check=False
+    )
 
 
 def injective(algebra: BoundAlgebra, x: Vertex) -> Representation:
@@ -353,46 +348,36 @@ def hom_dim(m: Representation, n: Representation) -> int:
 # -- kernels, cokernels, tops, socles ----------------------------------------
 
 
-def kernel(f: Morphism) -> tuple[Representation, Morphism]:
-    algebra = f.source.algebra
-    k_mats: dict[Vertex, Matrix] = {}
-    dims: dict[Vertex, int] = {}
-    for v in algebra.quiver.vertices:
-        basis = f.blocks[v].kernel_basis()
-        k_mats[v] = Matrix.from_columns(basis, f.source.dims[v])
-        dims[v] = len(basis)
+def restrict(m: Representation, basis: dict[Vertex, Matrix]) -> tuple[Representation, Morphism]:
+    """The sub-representation whose space at v is spanned by the columns of
+    basis[v] (independent and arrow-stable), with its inclusion into M."""
     maps = {}
-    for arrow in algebra.quiver.arrows:
+    for arrow in m.algebra.quiver.arrows:
         src, dst = arrow
-        rhs = f.source.maps[arrow] @ k_mats[src]
-        sol = k_mats[dst].solve(rhs)
+        sol = basis[dst].solve(m.maps[arrow] @ basis[src])
         if sol is None:
-            raise ShapeError("kernel is not arrow-stable; inconsistent solve")
+            raise ShapeError(f"subspace is not stable under the arrow {src}->{dst}")
         maps[arrow] = sol
-    ker = Representation(algebra, dims, maps, check=False)
-    incl = Morphism(ker, f.source, k_mats, check=False)
-    return ker, incl
+    sub = Representation(m.algebra, {v: b.ncols for v, b in basis.items()}, maps, check=False)
+    return sub, Morphism(sub, m, basis, check=False)
+
+
+def kernel(f: Morphism) -> tuple[Representation, Morphism]:
+    return restrict(
+        f.source,
+        {
+            v: Matrix.from_columns(f.blocks[v].kernel_basis(), f.source.dims[v])
+            for v in f.source.algebra.quiver.vertices
+        },
+    )
 
 
 def cokernel(f: Morphism) -> tuple[Representation, Morphism]:
-    algebra = f.target.algebra
-    q_mats: dict[Vertex, Matrix] = {}
-    dims: dict[Vertex, int] = {}
-    for v in algebra.quiver.vertices:
-        rows = f.blocks[v].transpose().kernel_basis()
-        q_mats[v] = Matrix(rows, ncols=f.target.dims[v])
-        dims[v] = len(rows)
-    maps = {}
-    for arrow in algebra.quiver.arrows:
-        src, dst = arrow
-        rhs = (q_mats[dst] @ f.target.maps[arrow]).transpose()
-        sol = q_mats[src].transpose().solve(rhs)
-        if sol is None:
-            raise ShapeError("image is not arrow-stable; inconsistent solve")
-        maps[arrow] = sol.transpose()
-    cok = Representation(algebra, dims, maps, check=False)
-    proj = Morphism(f.target, cok, q_mats, check=False)
-    return cok, proj
+    """coker f = D ker(D f), with the projection N -> coker f dual to the
+    inclusion of ker(D f)."""
+    _, incl = kernel(dual_morphism(f))
+    proj = dual_morphism(incl)
+    return proj.target, proj
 
 
 def radical_matrices(m: Representation) -> dict[Vertex, Matrix]:
@@ -471,33 +456,42 @@ class Presentation:
     syzygy_inclusion: Morphism
 
 
+def yoneda_map(
+    n: Representation, gens: Sequence[tuple[Vertex, Sequence[Fraction]]]
+) -> tuple[Morphism, list[dict[Vertex, int]]]:
+    """The morphism ⊕_j P(x_j) -> N sending the generator of the j-th summand
+    to n_j ∈ N_{x_j}, for gens = [(x_j, n_j)], and the summands' offsets.
+
+    The column of a basis path q = q'·a is N(a) applied to the column of q',
+    so the paths are taken in order of length."""
+    algebra = n.algebra
+    verts = algebra.quiver.vertices
+    if gens:
+        source, offsets = direct_sum([projective(algebra, x) for x, _ in gens])
+    else:
+        source, offsets = zero_rep(algebra), []
+    columns: dict[Vertex, list[Sequence[Fraction]]] = {z: [] for z in verts}
+    for x, gen in gens:
+        image: dict[tuple[Arrow, ...], Sequence[Fraction]] = {}
+        for q in sorted((q for z in verts for q in algebra.basis_paths(x, z)), key=len):
+            if q.is_lazy:
+                image[q.arrows] = gen
+            else:
+                image[q.arrows] = n.maps[q.arrows[-1]].apply(image[q.arrows[:-1]])
+        for z in verts:
+            columns[z].extend(image[q.arrows] for q in algebra.basis_paths(x, z))
+    blocks = {z: Matrix.from_columns(columns[z], n.dims[z]) for z in verts}
+    return Morphism(source, n, blocks), offsets
+
+
 def projective_cover(m: Representation) -> tuple[Representation, Morphism, tuple[Vertex, ...], list[dict[Vertex, int]]]:
-    """The projective cover P0 -> M built from top representatives."""
-    algebra = m.algebra
+    """The projective cover P0 -> M sending generators to top representatives."""
     gens = top_generators(m)
-    verts = tuple(v for v, _ in gens)
-    if not verts:
-        p0 = zero_rep(algebra)
-        return p0, Morphism(p0, m, {}, check=False), (), []
-    summands = [projective(algebra, v) for v in verts]
-    p0, offsets = direct_sum(summands)
-    blocks: dict[Vertex, list[list[Fraction]]] = {
-        z: [[Fraction(0)] * p0.dims[z] for _ in range(m.dims[z])] for z in algebra.quiver.vertices
-    }
-    for idx, (x, vec) in enumerate(gens):
-        for z in algebra.quiver.vertices:
-            for pth_i, pth in enumerate(algebra.basis_paths(x, z)):
-                col = offsets[idx][z] + pth_i
-                img = m.path_action(pth).apply(vec)
-                for row in range(m.dims[z]):
-                    blocks[z][row][col] = img[row]
-    cover = Morphism(
-        p0, m, {z: Matrix(blocks[z], ncols=p0.dims[z]) for z in algebra.quiver.vertices}
-    )
-    for z in algebra.quiver.vertices:
+    cover, offsets = yoneda_map(m, gens)
+    for z in m.algebra.quiver.vertices:
         if cover.blocks[z].rank() != m.dims[z]:
             raise ShapeError("projective cover is not surjective")
-    return p0, cover, verts, offsets
+    return cover.source, cover, tuple(v for v, _ in gens), offsets
 
 
 def minimal_projective_presentation(m: Representation) -> Presentation:
@@ -532,47 +526,23 @@ def minimal_projective_presentation(m: Representation) -> Presentation:
 
 def realize_path_matrix(algebra: BoundAlgebra, pm: PathMatrix) -> Morphism:
     """The morphism ⊕P(col_j) -> ⊕P(row_i) induced by right-composition with
-    the path entries."""
-    row_summands = [projective(algebra, v) for v in pm.row_vertices]
-    col_summands = [projective(algebra, v) for v in pm.col_vertices]
-    if row_summands:
-        target, row_off = direct_sum(row_summands)
+    the path entries: the generator of P(col_j) goes to column j."""
+    if pm.row_vertices:
+        target, row_off = direct_sum([projective(algebra, v) for v in pm.row_vertices])
     else:
         target, row_off = zero_rep(algebra), []
-    if col_summands:
-        source, col_off = direct_sum(col_summands)
-    else:
-        source, col_off = zero_rep(algebra), []
-    blocks: dict[Vertex, list[list[Fraction]]] = {
-        z: [[Fraction(0)] * source.dims[z] for _ in range(target.dims[z])]
-        for z in algebra.quiver.vertices
-    }
+    gens = []
     for j, cj in enumerate(pm.col_vertices):
+        gen = [Fraction(0)] * target.dims[cj]
         for i, ri in enumerate(pm.row_vertices):
+            paths = algebra.basis_paths(ri, cj)
             for (coeff, w) in pm.entries[i][j]:
-                # generator path q: cj -> z maps to sum of w.q in P(ri)
-                for z in algebra.quiver.vertices:
-                    for q_idx, q in enumerate(algebra.basis_paths(cj, z)):
-                        composed = algebra.compose(w, q)
-                        if composed is None:
-                            continue
-                        p_idx = algebra.basis_paths(ri, z).index(composed)
-                        row = row_off[i][z] + p_idx
-                        col = col_off[j][z] + q_idx
-                        blocks[z][row][col] += coeff
-    return Morphism(
-        source,
-        target,
-        {z: Matrix(blocks[z], ncols=source.dims[z]) for z in algebra.quiver.vertices},
-    )
+                gen[row_off[i][cj] + paths.index(w)] += coeff
+        gens.append((cj, gen))
+    return yoneda_map(target, gens)[0]
 
 
 # -- AR translate -------------------------------------------------------------
-
-
-def transpose_of_presentation(algebra: BoundAlgebra, pm: PathMatrix) -> Morphism:
-    """Hom(d, A) realized over the opposite algebra."""
-    return realize_path_matrix(algebra.opposite_algebra(), pm.transpose())
 
 
 def tau(m: Representation) -> Representation:
@@ -585,7 +555,7 @@ def tau(m: Representation) -> Representation:
     if not pres.p1_vertices:
         m._tau = zero_rep(m.algebra)
     else:
-        d_op = transpose_of_presentation(m.algebra, pres.path_matrix)
+        d_op = realize_path_matrix(m.algebra.opposite_algebra(), pres.path_matrix.transpose())
         tr, _ = cokernel(d_op)
         m._tau = dual(tr)
     return m._tau
@@ -624,10 +594,8 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
     full = hom_basis(m, n)
     if not full:
         return 0
-    p, cover, _, _ = projective_cover(dual(m))
-    env = dual(p)
-    emb = Morphism(m, env, {v: b.transpose() for v, b in cover.blocks.items()}, check=False)
-    factored = [emb.then(h).flatten() for h in hom_basis(env, n)]
+    emb = dual_morphism(projective_cover(dual(m))[1])
+    factored = [emb.then(h).flatten() for h in hom_basis(emb.target, n)]
     factored = [v for v in factored if any(x != 0 for x in v)]
     if not factored:
         return len(full)

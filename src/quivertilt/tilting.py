@@ -211,14 +211,11 @@ def verify_tilting(instance: FamilyInstance) -> TiltingReport:
     pd = {x: reps.projective_dimension_le1(instance.module_M(x)) for x in verts}
 
     endq, relations_ok = end_quiver(instance, basis_cache)
-    iso_op = find_isomorphism(endq, opposite(instance.quiver))
     iso_q = find_isomorphism(endq, instance.quiver)
 
     # the canonical map x -> M(x) must itself reverse all arrows
-    qop = opposite(instance.quiver)
-    canonical = sorted(endq.arrows) == sorted(qop.arrows)
-    if not canonical:
-        iso_op = None
+    canonical = sorted(endq.arrows) == sorted(opposite(instance.quiver).arrows)
+    iso_op = {v: v for v in verts} if canonical else None
 
     identifications = _identifications_hold(instance)
     zero_path = _zero_path_property(instance, basis_cache)

