@@ -148,8 +148,15 @@ def run_checks(
 
 
 def _tilting_report(ctx):
+    """The instance's tilting report, built once; a build that raised is kept
+    too and raised again for every check that reads the report."""
     if "tilting_report" not in ctx:
-        ctx["tilting_report"] = verify_tilting(ctx["instance"])
+        try:
+            ctx["tilting_report"] = verify_tilting(ctx["instance"])
+        except Exception as exc:
+            ctx["tilting_report"] = exc
+    if isinstance(ctx["tilting_report"], Exception):
+        raise ctx["tilting_report"]
     return ctx["tilting_report"]
 
 

@@ -7,8 +7,6 @@ and isomorphism certificates.  All arithmetic is rational and deterministic.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -258,15 +256,6 @@ class Morphism:
             v: other.blocks[v] @ self.blocks[v] for v in self.source.algebra.quiver.vertices
         }
         return Morphism(self.source, other.target, blocks, check=False)
-
-    def add(self, other: "Morphism") -> "Morphism":
-        blocks = {v: self.blocks[v] + other.blocks[v] for v in self.blocks}
-        return Morphism(self.source, self.target, blocks, check=False)
-
-    def scale(self, c) -> "Morphism":
-        return Morphism(
-            self.source, self.target, {v: b.scale(c) for v, b in self.blocks.items()}, check=False
-        )
 
     def flatten(self) -> tuple[Fraction, ...]:
         out: list[Fraction] = []
@@ -606,39 +595,41 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
 
 
 def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morphism]:
-    """An explicit isomorphism M -> N, or None (sound in both directions).
+    """An explicit isomorphism M -> N of thin modules, or None; exact, no search.
 
-    Tries seeded random combinations of a Hom basis first, then decides
-    exactly on the grid {0..D}^k (a polynomial of total degree D that is not
-    identically zero cannot vanish on that grid)."""
+    The witness is a nonzero scalar c_v per supported vertex, propagated
+    breadth-first from c = 1 along the arrows nonzero in both modules by
+    c_dst = c_src·N_a / M_a.  Its commute check rejects mismatched zero
+    patterns and inconsistent cycles.  Equal dimension vectors that are not
+    thin raise UnsupportedInput."""
     if m.dims != n.dims:
         return None
-    if m.is_zero():
-        return Morphism(m, n, {}, check=False)
-    basis = hom_basis(m, n)
-    if not basis:
+    if not m.is_thin():
+        raise UnsupportedInput("isomorphism test needs thin modules")
+    supp = [v for v in m.algebra.quiver.vertices if m.dims[v]]
+    ratios: dict[Vertex, list[tuple[Vertex, Fraction]]] = {v: [] for v in supp}
+    for arrow in m.algebra.quiver.arrows:
+        src, dst = arrow
+        if m.dims[src] and m.dims[dst]:
+            m_a, n_a = m.maps[arrow].rows[0][0], n.maps[arrow].rows[0][0]
+            if m_a and n_a:
+                ratios[src].append((dst, n_a / m_a))
+                ratios[dst].append((src, m_a / n_a))
+    scale: dict[Vertex, Fraction] = {}
+    for root in supp:
+        if root in scale:
+            continue
+        scale[root] = Fraction(1)
+        queue = [root]
+        for v in queue:
+            for w, ratio in ratios[v]:
+                if w not in scale:
+                    scale[w] = scale[v] * ratio
+                    queue.append(w)
+    try:
+        return Morphism(m, n, {v: Matrix([[c]]) for v, c in scale.items()})
+    except ShapeError:
         return None
-
-    def combine(coeffs) -> Morphism:
-        out = basis[0].scale(coeffs[0])
-        for c, f in zip(coeffs[1:], basis[1:]):
-            out = out.add(f.scale(c))
-        return out
-
-    rng = random.Random(17)
-    for _ in range(40):
-        coeffs = [rng.randint(-9, 9) for _ in basis]
-        cand = combine(coeffs)
-        if cand.is_isomorphism():
-            return cand
-    degree = m.total_dim
-    if (degree + 1) ** len(basis) > 2_000_000:
-        raise UnsupportedInput("isomorphism search space too large")
-    for coeffs in itertools.product(range(degree + 1), repeat=len(basis)):
-        cand = combine(coeffs)
-        if cand.is_isomorphism():
-            return cand
-    return None
 
 
 def is_isomorphic_reps(m: Representation, n: Representation) -> bool:
@@ -646,10 +637,10 @@ def is_isomorphic_reps(m: Representation, n: Representation) -> bool:
 
 
 def projective_dimension_le1(m: Representation) -> bool:
-    """True iff the first syzygy is projective, certified by an explicit
-    isomorphism with its projective cover P1."""
+    """True iff the first syzygy Ω is projective.  Its cover P1 -> Ω is onto,
+    so Ω ≅ P1 exactly when the two dimension vectors agree."""
     pres = minimal_projective_presentation(m)
-    return pres.syzygy.is_zero() or is_isomorphic_reps(pres.syzygy, pres.p1)
+    return pres.syzygy.dims == pres.p1.dims
 
 
 # -- thin submodule lattices --------------------------------------------------

@@ -4,10 +4,13 @@ Each one is an earlier, more direct construction of something the library
 now builds another way; the differential tests compare the two.
 """
 
+import itertools
+import random
 from fractions import Fraction
+from typing import Optional
 
 from quivertilt import reps
-from quivertilt.errors import ShapeError
+from quivertilt.errors import ShapeError, UnsupportedInput
 from quivertilt.linalg import Matrix
 from quivertilt.reps import Morphism, Representation
 
@@ -133,3 +136,39 @@ def tau(m: Representation) -> Representation:
     d_op = realize_path_matrix(m.algebra.opposite_algebra(), pres.path_matrix.transpose())
     tr, _ = cokernel(d_op)
     return reps.dual(tr)
+
+
+def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morphism]:
+    """An explicit isomorphism M -> N, or None (sound in both directions).
+
+    Tries seeded random combinations of a Hom basis first, then decides
+    exactly on the grid {0..D}^k (a polynomial of total degree D that is not
+    identically zero cannot vanish on that grid)."""
+    if m.dims != n.dims:
+        return None
+    if m.is_zero():
+        return Morphism(m, n, {}, check=False)
+    basis = reps.hom_basis(m, n)
+    if not basis:
+        return None
+
+    def combine(coeffs) -> Morphism:
+        blocks = {v: b.scale(coeffs[0]) for v, b in basis[0].blocks.items()}
+        for c, f in zip(coeffs[1:], basis[1:]):
+            blocks = {v: b + f.blocks[v].scale(c) for v, b in blocks.items()}
+        return Morphism(m, n, blocks, check=False)
+
+    rng = random.Random(17)
+    for _ in range(40):
+        coeffs = [rng.randint(-9, 9) for _ in basis]
+        cand = combine(coeffs)
+        if cand.is_isomorphism():
+            return cand
+    degree = m.total_dim
+    if (degree + 1) ** len(basis) > 2_000_000:
+        raise UnsupportedInput("isomorphism search space too large")
+    for coeffs in itertools.product(range(degree + 1), repeat=len(basis)):
+        cand = combine(coeffs)
+        if cand.is_isomorphism():
+            return cand
+    return None

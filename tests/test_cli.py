@@ -343,3 +343,22 @@ def test_raising_check_is_reported_and_the_rest_still_run(capsys, monkeypatch):
     assert by_id["hom-table"]["skipped"] is False
     assert by_id["hom-table"]["witness"] == {"error": "AssertionError: hom table broke"}
     assert by_id["tilting"]["passed"] and by_id["acyclic-type"]["passed"]
+
+
+def test_raising_tilting_report_is_built_once(monkeypatch):
+    from quivertilt import report
+
+    calls = []
+
+    def boom(instance):
+        calls.append(instance)
+        raise ArithmeticError("tilting report broke")
+
+    monkeypatch.setattr(report, "verify_tilting", boom)
+    readers = ["projective-identifications", "pd-le-1", "tilting", "hom-table", "end-iso"]
+    res = report.run_checks(2, 2, checks=readers)
+    assert len(calls) == 1
+    assert sorted(c.check_id for c in res.checks) == sorted(readers)
+    for c in res.checks:
+        assert not c.passed
+        assert c.witness == {"error": "ArithmeticError: tilting report broke"}

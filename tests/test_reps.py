@@ -1,5 +1,7 @@
 import gc
+import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,7 @@ from quivertilt.family import family_instance
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, r, s, t
 from quivertilt.tilting import verify_tilting
-from quivertilt import reps
+from quivertilt import properties, reps
 
 import reference
 
@@ -395,6 +397,87 @@ def test_identification_examples(a22):
     m_r1 = reps.thin_from_support(a22, [s(1), r(2), r(0), t(1)])  # M(r_{a2-1})
     assert reps.is_isomorphic_reps(m_r1, reps.projective(a22, s(1)))
     assert reps.is_isomorphic_reps(m_r1, reps.injective(a22, t(1)))
+
+
+def test_isomorphism_needs_thin_modules(a22):
+    fat, _ = reps.direct_sum([reps.simple(a22, r(0)), reps.simple(a22, r(0))])
+    with pytest.raises(UnsupportedInput):
+        reps.find_isomorphism_reps(fat, fat)
+
+
+def gauge_rescaled(m, rng):
+    """M with each arrow map multiplied by c_dst / c_src for random nonzero c_v."""
+    c = {v: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7])) for v in m.dims}
+    maps = {(a, b): mat.scale(c[b] / c[a]) for (a, b), mat in m.maps.items()}
+    return reps.Representation(m.algebra, dict(m.dims), maps)
+
+
+def one_arrow_zeroed(m, rng):
+    """M with one of its nonzero arrow maps set to zero, or None if it has none."""
+    live = sorted((a for a, mat in m.maps.items() if not mat.is_zero()), key=str)
+    if not live:
+        return None
+    maps = dict(m.maps)
+    maps[rng.choice(live)] = Matrix.zeros(1, 1)
+    return reps.Representation(m.algebra, dict(m.dims), maps)
+
+
+def family_pairs(inst):
+    """The pairs the library compares: τM(x) against its closed form, the
+    exact-sequence routes to M(s_i) and M(t_i), and the P/I identifications."""
+    for x in inst.vertices:
+        yield reps.tau(inst.module_M(x)), inst.expected_tau(x)
+    for i in range(1, inst.a1):
+        yield inst.module_M(inst.vertex_s(i)), inst._module_s_from_sequence(i)
+        yield inst.module_M(inst.vertex_t(i)), inst._module_t_from_sequence(i)
+    for (_, x, kind, y) in inst.identification_table():
+        build = reps.projective if kind == "P" else reps.injective
+        yield inst.module_M(x), build(inst.algebra, y)
+
+
+def isomorphism_matches_reference(m, n):
+    """The verdict of find_isomorphism_reps(m, n), checked against the
+    reference search, with every witness checked to commute and be invertible.
+
+    On a non-isomorphic pair of equal dimension vectors the reference walks
+    (D + 1)^k grid points, D = dim M and k = dim Hom(M, N); past 5000 it is
+    not run, and the verdict the caller expects decides alone."""
+    found = reps.find_isomorphism_reps(m, n)
+    witnesses = [found]
+    if found is not None or (m.total_dim + 1) ** reps.hom_dim(m, n) <= 5000:
+        witnesses.append(reference.find_isomorphism_reps(m, n))
+        assert (found is None) == (witnesses[1] is None)
+    for witness in witnesses:
+        if witness is not None:
+            witness.check_commutes()
+            assert witness.is_isomorphism()
+    return found is not None
+
+
+@pytest.mark.parametrize("a1,a2", [(2, 2), (2, 4), (3, 3)])
+def test_isomorphism_matches_reference(a1, a2):
+    inst = family_instance(a1, a2)
+    rng = random.Random(1000 * a1 + a2)
+    for _ in range(40):
+        m = properties.random_thin_module(rng, inst)
+        assert isomorphism_matches_reference(m, gauge_rescaled(m, rng))
+        zeroed = one_arrow_zeroed(m, rng)
+        if zeroed is not None:
+            assert not isomorphism_matches_reference(m, zeroed)
+        isomorphism_matches_reference(m, properties.random_thin_module(rng, inst))
+    for m, n in family_pairs(inst):
+        assert isomorphism_matches_reference(m, n)
+
+
+@pytest.mark.parametrize("a1,a2", [(2, 4), (3, 3)])
+def test_pd_le1_matches_reference(a1, a2):
+    inst = family_instance(a1, a2)
+    summands = [inst.module_M(x) for x in inst.vertices]
+    mixed, _ = reps.direct_sum(summands[:2])  # neither it nor its syzygy is thin
+    for m in summands + [reps.tau(m) for m in summands] + [mixed]:
+        pres = reps.minimal_projective_presentation(m)
+        syzygy_projective = reference.find_isomorphism_reps(pres.syzygy, pres.p1) is not None
+        assert reps.projective_dimension_le1(m) == syzygy_projective
 
 
 # -- dump ----------------------------------------------------------------------------------
