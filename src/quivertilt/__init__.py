@@ -30,7 +30,6 @@ from .quiver import (
     TypeLabel,
     Vertex,
     classify_acyclic_type,
-    find_isomorphism,
     mutate_matrix,
     opposite,
     to_exchange_matrix,

@@ -79,7 +79,6 @@ class BoundAlgebra:
         name: str = "",
         a1: Optional[int] = None,
         a2: Optional[int] = None,
-        max_path_length: Optional[int] = None,
     ):
         counts = {}
         for a in quiver.arrows:
@@ -91,9 +90,8 @@ class BoundAlgebra:
         self.name = name
         self.a1 = a1
         self.a2 = a2
-        cap = max_path_length if max_path_length is not None else 4 * quiver.n + 4
         self.basis: dict[tuple[Vertex, Vertex], tuple[Path, ...]] = {}
-        self._build_basis(cap)
+        self._build_basis(4 * quiver.n + 4)
         self._opposite: Optional[BoundAlgebra] = None
 
     # -- basis -------------------------------------------------------------

@@ -41,18 +41,6 @@ SEED_B_SIGN = -1
 IntRows = tuple[tuple[int, ...], ...]
 
 
-def _identity_rows(n: int) -> IntRows:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _matmul_rows(a: IntRows, b: IntRows) -> IntRows:
-    n = len(a)
-    m = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(m)) for i in range(n)
-    )
-
-
 @dataclass(frozen=True)
 class Seed:
     """Labeled seed with principal coefficients.
@@ -119,7 +107,8 @@ def initial_seed(quiver: Quiver, track_f: bool = True) -> Seed:
     b = to_exchange_matrix(quiver)
     n = quiver.n
     f = tuple(IntPoly.one(n) for _ in range(n)) if track_f else None
-    return Seed(quiver.vertices, b.entries, _identity_rows(n), _identity_rows(n), f)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return Seed(quiver.vertices, b.entries, identity, identity, f)
 
 
 def mutate_seed(seed: Seed, k: Vertex | int) -> Seed:
@@ -159,17 +148,18 @@ def mutate_seed(seed: Seed, k: Vertex | int) -> Seed:
         f_k = (pos + neg).exact_div(seed.f[kk])
         new_f = tuple(f_k if j == kk else seed.f[j] for j in range(n))
 
-    jg = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        jg[j][kk] += max(0, -eps * bs[j][kk])
-    jg[kk][kk] = -1
-    new_g = _matmul_rows(seed.g, tuple(tuple(row) for row in jg))
-
-    jc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        jc[kk][j] += max(0, eps * bs[kk][j])
-    jc[kk][kk] = -1
-    new_c = _matmul_rows(seed.c, tuple(tuple(row) for row in jc))
+    # column operations: G column k becomes -g_k + sum_j [-eps*bs_jk]_+ g_j,
+    # and C column j != k gains [eps*bs_kj]_+ c_k while column k flips sign
+    gk = [max(0, -eps * bs[j][kk]) for j in range(n)]
+    new_g = tuple(
+        tuple(sum(w * y for w, y in zip(gk, row)) - x if j == kk else x for j, x in enumerate(row))
+        for row in seed.g
+    )
+    ck = [max(0, eps * bs[kk][j]) for j in range(n)]
+    new_c = tuple(
+        tuple(-x if j == kk else x + ck[j] * row[kk] for j, x in enumerate(row))
+        for row in seed.c
+    )
 
     new_b = mutate_matrix(seed.exchange_matrix(), kk).entries
     return Seed(seed.labels, new_b, new_c, new_g, new_f, seed.history + (seed.labels[kk],))

@@ -192,6 +192,15 @@ class FamilyInstance:
             ("M", self.vertex_s(1) if a1 > 1 else r(a2), "I", r(a2 - 1)),
         ]
 
+    def opposite_isomorphism(self) -> dict[Vertex, Vertex]:
+        """The vertex map of Q^op ~= Q: r_i -> r_{a2-i}, s_i -> t_{a1-i},
+        t_i -> s_{a1-i}; it reverses the cycle and swaps the two branches."""
+        a1, a2 = self.a1, self.a2
+        phi = {r(i): r(a2 - i) for i in range(a2 + 1)}
+        phi.update({s(i): t(a1 - i) for i in range(1, a1)})
+        phi.update({t(i): s(a1 - i) for i in range(1, a1)})
+        return phi
+
     def expected_classified_counts(self, i: int) -> tuple[int, int, int]:
         a1, a2 = self.a1, self.a2
         if i == 0:

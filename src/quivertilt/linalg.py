@@ -100,10 +100,6 @@ class Matrix:
             ncols=self.ncols,
         )
 
-    def scale(self, c: Scalar) -> "Matrix":
-        c = _frac(c)
-        return Matrix([[c * x for x in row] for row in self.rows], ncols=self.ncols)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError(f"mul {self.shape} @ {other.shape}")

@@ -127,12 +127,6 @@ class Quiver:
     def arrows_into(self, v: Vertex) -> list[Arrow]:
         return [a for a in self.arrows if a[1] == v]
 
-    def out_degree(self, v: Vertex) -> int:
-        return len(self.arrows_from(v))
-
-    def in_degree(self, v: Vertex) -> int:
-        return len(self.arrows_into(v))
-
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -224,67 +218,6 @@ def opposite(q: Quiver) -> Quiver:
     if q.potential is not None:
         potential = tuple((dst, src) for (src, dst) in reversed(q.potential))
     return Quiver(q.vertices, tuple((dst, src) for (src, dst) in q.arrows), potential)
-
-
-# -- isomorphism search ------------------------------------------------------
-
-
-def find_isomorphism(q1: Quiver, q2: Quiver) -> Optional[dict[Vertex, Vertex]]:
-    """Lexicographically least arrow-multiplicity-preserving vertex bijection.
-
-    Exhaustive backtracking with degree pruning; role tags are ignored.  Fine
-    for the <= ~20 vertex quivers this package handles.
-    """
-    if q1.n != q2.n or len(q1.arrows) != len(q2.arrows):
-        return None
-
-    def degree_sig(q: Quiver, v: Vertex) -> tuple[int, int]:
-        return (q.in_degree(v), q.out_degree(v))
-
-    sig1 = {v: degree_sig(q1, v) for v in q1.vertices}
-    sig2 = {v: degree_sig(q2, v) for v in q2.vertices}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
-
-    count1 = {}
-    for a in q1.arrows:
-        count1[a] = count1.get(a, 0) + 1
-    count2 = {}
-    for a in q2.arrows:
-        count2[a] = count2.get(a, 0) + 1
-
-    order = list(q1.vertices)
-    mapping: dict[Vertex, Vertex] = {}
-    used: set[Vertex] = set()
-
-    def consistent(v: Vertex, w: Vertex) -> bool:
-        if sig1[v] != sig2[w]:
-            return False
-        for u, img in mapping.items():
-            if count1.get((v, u), 0) != count2.get((w, img), 0):
-                return False
-            if count1.get((u, v), 0) != count2.get((img, w), 0):
-                return False
-        return True
-
-    def backtrack(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for w in q2.vertices:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(pos + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if backtrack(0):
-        return dict(mapping)
-    return None
 
 
 # -- acyclic type classification ---------------------------------------------

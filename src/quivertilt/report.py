@@ -76,31 +76,17 @@ class VerificationReport:
         }
 
 
-CHECK_STATEMENTS = {
-    "submodule-counts": "Prop 3.4 + Lemmas 3.1-3.3",
-    "golden-fixture": "Section 8 example",
-    "tau-closed-forms": "Lemmas 4.2-4.4",
-    "projective-identifications": "Remark 4.1",
-    "pd-le-1": "Prop 4.5",
-    "tilting": "Theorem 5.8 (+ Theorem 5.9 criterion)",
-    "hom-table": "Lemmas 6.1-6.8",
-    "end-iso": "Theorem 6.9",
-    "acyclic-type": "Theorem 7.2 + Remark 7.3",
-    "source-sink-discipline": "Theorem 7.6 proof",
-    "palindrome": "Lemma 7.4",
-    "order-two": "Corollary 7.5",
-    "t-to-shift": "Theorem 7.6",
-    "properties": "invariant suite (randomized)",
-}
-
-ALL_CHECKS = tuple(CHECK_STATEMENTS)
-
 CHECK_ALIASES = {
     "type": "acyclic-type",
     "tau": "tau-closed-forms",
     "submodules": "submodule-counts",
     "shift": "t-to-shift",
 }
+
+
+class Skip(Exception):
+    """Raised by a check that cannot run on this instance; the message is the
+    reason the report gives."""
 
 
 def run_checks(
@@ -124,57 +110,61 @@ def run_checks(
     if unknown:
         raise UnsupportedParameters(f"unknown checks: {sorted(unknown)}")
 
-    instance = family_instance(a1, a2)
-    ctx: dict = {"instance": instance, "laurent_cap": laurent_cap}
+    ctx: dict = {
+        "instance": family_instance(a1, a2),
+        "laurent_cap": laurent_cap,
+        "property_cases": property_cases,
+        "property_seed": property_seed,
+    }
     results = []
-    for check_id in ALL_CHECKS:
+    for check_id, (statement, runner) in CHECKS.items():
         if check_id not in selected:
             continue
-        runner = _RUNNERS[check_id]
+        res = CheckResult(check_id, statement, False)
         start = time.perf_counter()
         try:
-            res = runner(ctx, property_cases, property_seed)
+            res.passed, res.witness = runner(ctx)
+        except Skip as why:
+            res.skipped, res.skip_reason = True, str(why)
         except Exception as exc:
             # a crashing check fails on its own; the remaining checks still run
-            res = CheckResult(
-                check_id,
-                CHECK_STATEMENTS[check_id],
-                False,
-                witness={"error": f"{type(exc).__name__}: {exc}"},
-            )
+            res.witness = {"error": f"{type(exc).__name__}: {exc}"}
         res.seconds = time.perf_counter() - start
         results.append(res)
     return VerificationReport(a1, a2, results, laurent_cap)
 
 
-def _tilting_report(ctx):
-    """The instance's tilting report, built once; a build that raised is kept
-    too and raised again for every check that reads the report."""
-    if "tilting_report" not in ctx:
+def _shared(ctx: dict, build: Callable):
+    """`build(ctx)`, built once per run and kept in `ctx` keyed by `build`;
+    a build that raised is kept too and raised again for every reader."""
+    if build not in ctx:
         try:
-            ctx["tilting_report"] = verify_tilting(ctx["instance"])
+            ctx[build] = build(ctx)
         except Exception as exc:
-            ctx["tilting_report"] = exc
-    if isinstance(ctx["tilting_report"], Exception):
-        raise ctx["tilting_report"]
-    return ctx["tilting_report"]
+            ctx[build] = exc
+    if isinstance(ctx[build], Exception):
+        raise ctx[build]
+    return ctx[build]
 
 
-def _mu_replay(ctx):
-    if "mu_replay" not in ctx:
-        inst = ctx["instance"]
-        track_f = inst.quiver.n <= ctx["laurent_cap"]
-        ctx["mu_replay"] = cluster.replay_mu(inst.a1, inst.a2, track_f)
-    return ctx["mu_replay"]
+def _tilting(ctx):
+    return verify_tilting(ctx["instance"])
+
+
+def _replay(ctx):
+    inst = ctx["instance"]
+    return cluster.replay_mu(inst.a1, inst.a2, inst.quiver.n <= ctx["laurent_cap"])
 
 
 def _shift(ctx):
-    if "shift" not in ctx:
-        ctx["shift"] = cluster.verify_T_maps_to_shift(ctx["instance"], _mu_replay(ctx))
-    return ctx["shift"]
+    return cluster.verify_T_maps_to_shift(ctx["instance"], _shared(ctx, _replay))
 
 
-def _check_submodule_counts(ctx, _cases, _seed) -> CheckResult:
+def _laurent_level(checked: bool) -> str:
+    return "checked" if checked else "skipped (cost cap)"
+
+
+def _check_submodule_counts(ctx):
     inst = ctx["instance"]
     expected_total = inst.a1 * inst.a2 + 1
     counts = {}
@@ -185,105 +175,61 @@ def _check_submodule_counts(ctx, _cases, _seed) -> CheckResult:
         counts[f"r{i}"] = {"total": lattice.count, "classified": list(classified)}
         if lattice.count != expected_total or classified != inst.expected_classified_counts(i):
             ok = False
-    return CheckResult(
-        "submodule-counts",
-        CHECK_STATEMENTS["submodule-counts"],
-        ok,
-        witness={"expected_total": expected_total, "modules": counts},
-    )
+    return ok, {"expected_total": expected_total, "modules": counts}
 
 
-def _check_golden_fixture(ctx, _cases, _seed) -> CheckResult:
+def _check_golden_fixture(ctx):
     inst = ctx["instance"]
     if (inst.a1, inst.a2) != (2, 2):
-        return CheckResult(
-            "golden-fixture",
-            CHECK_STATEMENTS["golden-fixture"],
-            False,
-            skipped=True,
-            skip_reason="fixture is specific to (a1, a2) = (2, 2)",
-        )
+        raise Skip("fixture is specific to (a1, a2) = (2, 2)")
     if inst.quiver.n > ctx["laurent_cap"]:
-        return CheckResult(
-            "golden-fixture",
-            CHECK_STATEMENTS["golden-fixture"],
-            False,
-            skipped=True,
-            skip_reason="needs Laurent-level tracking (cap too low)",
-        )
+        raise Skip("needs Laurent-level tracking (cap too low)")
     labels = {s(1): 1, r(2): 2, r(0): 3, t(1): 4, r(1): 5}
     expected_supports = {1: {3, 5}, 2: {3, 4, 5}, 3: {1, 2, 5}, 4: {5, 2}, 5: {1, 2, 3, 4}}
-    ok = True
-    for x, num in labels.items():
-        got = {labels[v] for v in inst.module_M(x).support()}
-        if got != expected_supports[num]:
-            ok = False
+    ok = all(
+        {labels[v] for v in inst.module_M(x).support()} == expected_supports[num]
+        for x, num in labels.items()
+    )
     lattice = reps.submodules_thin(inst.module_M(r(2)))
     subs = {frozenset(labels[v] for v in sub) for sub in lattice.subsets}
     if subs != {frozenset(), frozenset({4}), frozenset({5}), frozenset({4, 5}), frozenset({3, 4, 5})}:
         ok = False
-    word = cluster.build_mu(2, 2).mu
-    word_nums = [labels[v] for v in word]
+    word_nums = [labels[v] for v in cluster.build_mu(2, 2).mu]
     if word_nums != [5, 1, 2, 1, 4, 3, 4, 5]:
         ok = False
-    shift = _shift(ctx)
-    pairing_nums = {}
-    if shift.pairing:
-        pairing_nums = {labels[x]: labels[y] for x, y in shift.pairing.items()}
+    pairing = _shared(ctx, _shift).pairing or {}
+    pairing_nums = {labels[x]: labels[y] for x, y in pairing.items()}
     if pairing_nums != {1: 4, 2: 3, 3: 2, 4: 1, 5: 5}:
         ok = False
-    return CheckResult(
-        "golden-fixture",
-        CHECK_STATEMENTS["golden-fixture"],
-        ok,
-        witness={"mu": word_nums, "pairing": pairing_nums},
-    )
+    return ok, {"mu": word_nums, "pairing": pairing_nums}
 
 
-def _check_tau(ctx, _cases, _seed) -> CheckResult:
+def _check_tau(ctx):
     inst = ctx["instance"]
     ok = True
     zeros = []
     for x in inst.vertices:
         got = reps.tau(inst.module_M(x))
-        exp = inst.expected_tau(x)
-        if not reps.is_isomorphic_reps(got, exp):
+        if not reps.is_isomorphic_reps(got, inst.expected_tau(x)):
             ok = False
         if got.is_zero():
             zeros.append(x.label)
-    expected_zeros = sorted(v.label for v in inst.projective_summand_vertices())
-    if sorted(zeros) != expected_zeros:
+    if sorted(zeros) != sorted(v.label for v in inst.projective_summand_vertices()):
         ok = False
-    return CheckResult(
-        "tau-closed-forms",
-        CHECK_STATEMENTS["tau-closed-forms"],
-        ok,
-        witness={"tau_zero_at": sorted(zeros)},
-    )
+    return ok, {"tau_zero_at": sorted(zeros)}
 
 
-def _check_identifications(ctx, _cases, _seed) -> CheckResult:
-    report = _tilting_report(ctx)
-    return CheckResult(
-        "projective-identifications",
-        CHECK_STATEMENTS["projective-identifications"],
-        report.identifications_hold,
-    )
+def _check_identifications(ctx):
+    return _shared(ctx, _tilting).identifications_hold, {}
 
 
-def _check_pd(ctx, _cases, _seed) -> CheckResult:
-    report = _tilting_report(ctx)
-    ok = all(report.pd_le1.values())
-    return CheckResult(
-        "pd-le-1",
-        CHECK_STATEMENTS["pd-le-1"],
-        ok,
-        witness={"pd_le1": {v.label: b for v, b in report.pd_le1.items()}},
-    )
+def _check_pd(ctx):
+    pd_le1 = _shared(ctx, _tilting).pd_le1
+    return all(pd_le1.values()), {"pd_le1": {v.label: b for v, b in pd_le1.items()}}
 
 
-def _check_tilting(ctx, _cases, _seed) -> CheckResult:
-    report = _tilting_report(ctx)
+def _check_tilting(ctx):
+    report = _shared(ctx, _tilting)
     verdicts = report.all_verdicts
     ok = (
         verdicts["rigid"]
@@ -292,121 +238,91 @@ def _check_tilting(ctx, _cases, _seed) -> CheckResult:
         and verdicts["tau_tilting"]
         and verdicts["cluster_tilting_inducing"]
     )
-    return CheckResult(
-        "tilting",
-        CHECK_STATEMENTS["tilting"],
-        ok,
-        witness={
-            "summand_count": report.summand_count,
-            "vertex_count": report.vertex_count,
-            "verdicts": verdicts,
-        },
-    )
+    witness = {
+        "summand_count": report.summand_count,
+        "vertex_count": report.vertex_count,
+        "verdicts": verdicts,
+    }
+    return ok, witness
 
 
-def _check_hom_table(ctx, _cases, _seed) -> CheckResult:
-    report = _tilting_report(ctx)
+def _check_hom_table(ctx):
+    report = _shared(ctx, _tilting)
     ok = report.hom_table_matches_oracle and report.zero_path_property_holds
-    return CheckResult(
-        "hom-table",
-        CHECK_STATEMENTS["hom-table"],
-        ok,
-        witness={"hom_table": report.hom_table},
-    )
+    return ok, {"hom_table": report.hom_table}
 
 
-def _check_end_iso(ctx, _cases, _seed) -> CheckResult:
-    report = _tilting_report(ctx)
+def _check_end_iso(ctx):
+    report = _shared(ctx, _tilting)
     ok = report.end_iso_holds and report.end_relations_hold
-    return CheckResult(
-        "end-iso",
-        CHECK_STATEMENTS["end-iso"],
-        ok,
-        witness={"end_quiver": report.end_quiver.to_json()},
-    )
+    return ok, {"end_quiver": report.end_quiver.to_json()}
 
 
-def _check_type(ctx, _cases, _seed) -> CheckResult:
+def _check_type(ctx):
     inst = ctx["instance"]
     tc = cluster.verify_acyclic_type(inst.a1, inst.a2)
-    return CheckResult(
-        "acyclic-type",
-        CHECK_STATEMENTS["acyclic-type"],
-        tc.ok,
-        witness={
-            "label": str(tc.label),
-            "expected": str(tc.expected),
-            "mu_r_acyclic": tc.mu_r_acyclic,
-            "branch_data": list(tc.branch_data) if tc.branch_data else None,
-        },
-    )
+    witness = {
+        "label": str(tc.label),
+        "expected": str(tc.expected),
+        "mu_r_acyclic": tc.mu_r_acyclic,
+        "branch_data": list(tc.branch_data) if tc.branch_data else None,
+    }
+    return tc.ok, witness
 
 
-def _check_discipline(ctx, _cases, _seed) -> CheckResult:
+def _check_discipline(ctx):
     inst = ctx["instance"]
-    ok = cluster.verify_source_sink_discipline(inst.a1, inst.a2)
-    return CheckResult(
-        "source-sink-discipline", CHECK_STATEMENTS["source-sink-discipline"], ok
-    )
+    return cluster.verify_source_sink_discipline(inst.a1, inst.a2), {}
 
 
-def _check_palindrome(ctx, _cases, _seed) -> CheckResult:
-    replay = _mu_replay(ctx)
-    track_f = replay.base.f is not None
-    return CheckResult(
-        "palindrome",
-        CHECK_STATEMENTS["palindrome"],
-        cluster.verify_palindrome_lemma(replay),
-        witness={"laurent_level": "checked" if track_f else "skipped (cost cap)"},
-    )
+def _check_palindrome(ctx):
+    replay = _shared(ctx, _replay)
+    witness = {"laurent_level": _laurent_level(replay.base.f is not None)}
+    return cluster.verify_palindrome_lemma(replay), witness
 
 
-def _check_order_two(ctx, _cases, _seed) -> CheckResult:
-    replay = _mu_replay(ctx)
-    track_f = replay.base.f is not None
+def _check_order_two(ctx):
+    replay = _shared(ctx, _replay)
     res = cluster.verify_order_two(replay)
-    witness = {"laurent_level": "checked" if track_f else "skipped (cost cap)"}
+    witness = {"laurent_level": _laurent_level(replay.base.f is not None)}
     if res.permutation is not None:
-        witness["slot_permutation"] = {
-            a.label: b.label for a, b in res.permutation.items()
-        }
-    return CheckResult("order-two", CHECK_STATEMENTS["order-two"], res.holds, witness=witness)
+        witness["slot_permutation"] = {a.label: b.label for a, b in res.permutation.items()}
+    return res.holds, witness
 
 
-def _check_shift(ctx, _cases, _seed) -> CheckResult:
-    res = _shift(ctx)
+def _check_shift(ctx):
+    res = _shared(ctx, _shift)
     witness = {
         "g_multiset": res.g_multiset_ok,
-        "laurent_level": "checked" if res.laurent_checked else "skipped (cost cap)",
+        "laurent_level": _laurent_level(res.laurent_checked),
     }
     if res.pairing is not None:
         witness["pairing"] = {x.label: y.label for x, y in res.pairing.items()}
-    return CheckResult("t-to-shift", CHECK_STATEMENTS["t-to-shift"], res.holds, witness=witness)
+    return res.holds, witness
 
 
-def _check_properties(ctx, cases, seed) -> CheckResult:
-    result = properties.run_property_suite(cases, seed)
-    return CheckResult(
-        "properties",
-        CHECK_STATEMENTS["properties"],
-        result.passed,
-        witness=result.to_json(),
-    )
+def _check_properties(ctx):
+    result = properties.run_property_suite(ctx["property_cases"], ctx["property_seed"])
+    return result.passed, result.to_json()
 
 
-_RUNNERS: dict[str, Callable] = {
-    "submodule-counts": _check_submodule_counts,
-    "golden-fixture": _check_golden_fixture,
-    "tau-closed-forms": _check_tau,
-    "projective-identifications": _check_identifications,
-    "pd-le-1": _check_pd,
-    "tilting": _check_tilting,
-    "hom-table": _check_hom_table,
-    "end-iso": _check_end_iso,
-    "acyclic-type": _check_type,
-    "source-sink-discipline": _check_discipline,
-    "palindrome": _check_palindrome,
-    "order-two": _check_order_two,
-    "t-to-shift": _check_shift,
-    "properties": _check_properties,
+# check id -> (statement it certifies, runner), in run order; a runner takes
+# the run's context and returns (passed, witness) or raises Skip
+CHECKS: dict[str, tuple[str, Callable]] = {
+    "submodule-counts": ("Prop 3.4 + Lemmas 3.1-3.3", _check_submodule_counts),
+    "golden-fixture": ("Section 8 example", _check_golden_fixture),
+    "tau-closed-forms": ("Lemmas 4.2-4.4", _check_tau),
+    "projective-identifications": ("Remark 4.1", _check_identifications),
+    "pd-le-1": ("Prop 4.5", _check_pd),
+    "tilting": ("Theorem 5.8 (+ Theorem 5.9 criterion)", _check_tilting),
+    "hom-table": ("Lemmas 6.1-6.8", _check_hom_table),
+    "end-iso": ("Theorem 6.9", _check_end_iso),
+    "acyclic-type": ("Theorem 7.2 + Remark 7.3", _check_type),
+    "source-sink-discipline": ("Theorem 7.6 proof", _check_discipline),
+    "palindrome": ("Lemma 7.4", _check_palindrome),
+    "order-two": ("Corollary 7.5", _check_order_two),
+    "t-to-shift": ("Theorem 7.6", _check_shift),
+    "properties": ("invariant suite (randomized)", _check_properties),
 }
+
+ALL_CHECKS = tuple(CHECKS)

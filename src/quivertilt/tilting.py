@@ -2,7 +2,7 @@
 
 The verdicts are assembled purely from the representation engine: Ext and
 Hom-tau tables entry by entry, projective dimension certificates, rad/rad^2
-arrow counts, and explicit isomorphism search against Q^op.
+arrow counts, and explicit vertex maps certifying End(T) ~= Q^op ~= Q.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Optional
 
 from .family import FamilyInstance
 from .linalg import Matrix
-from .quiver import Quiver, Vertex, find_isomorphism, opposite, r, s, t
+from .quiver import Quiver, Vertex, opposite, r, s, t
 from . import reps
 from .reps import Morphism
 
@@ -211,11 +211,13 @@ def verify_tilting(instance: FamilyInstance) -> TiltingReport:
     pd = {x: reps.projective_dimension_le1(instance.module_M(x)) for x in verts}
 
     endq, relations_ok = end_quiver(instance, basis_cache)
-    iso_q = find_isomorphism(endq, instance.quiver)
-
-    # the canonical map x -> M(x) must itself reverse all arrows
+    # the canonical map x -> M(x) must itself reverse all arrows, and the
+    # closed-form map Q^op -> Q must carry the arrows of End(T) onto those of Q
     canonical = sorted(endq.arrows) == sorted(opposite(instance.quiver).arrows)
     iso_op = {v: v for v in verts} if canonical else None
+    phi = instance.opposite_isomorphism()
+    onto_q = sorted((phi[a], phi[b]) for a, b in endq.arrows) == sorted(instance.quiver.arrows)
+    iso_q = phi if onto_q else None
 
     identifications = _identifications_hold(instance)
     zero_path = _zero_path_property(instance, basis_cache)

@@ -12,6 +12,7 @@ from typing import Optional
 from quivertilt import reps
 from quivertilt.errors import ShapeError, UnsupportedInput
 from quivertilt.linalg import Matrix
+from quivertilt.quiver import Quiver, Vertex
 from quivertilt.reps import Morphism, Representation
 
 
@@ -152,10 +153,13 @@ def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morp
     if not basis:
         return None
 
+    def scaled(mat: Matrix, c: int) -> Matrix:
+        return Matrix([[c * x for x in row] for row in mat.rows], ncols=mat.ncols)
+
     def combine(coeffs) -> Morphism:
-        blocks = {v: b.scale(coeffs[0]) for v, b in basis[0].blocks.items()}
+        blocks = {v: scaled(b, coeffs[0]) for v, b in basis[0].blocks.items()}
         for c, f in zip(coeffs[1:], basis[1:]):
-            blocks = {v: b + f.blocks[v].scale(c) for v, b in blocks.items()}
+            blocks = {v: b + scaled(f.blocks[v], c) for v, b in blocks.items()}
         return Morphism(m, n, blocks, check=False)
 
     rng = random.Random(17)
@@ -172,3 +176,80 @@ def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morp
         if cand.is_isomorphism():
             return cand
     return None
+
+
+def find_isomorphism(q1: Quiver, q2: Quiver) -> Optional[dict[Vertex, Vertex]]:
+    """Lexicographically least arrow-multiplicity-preserving vertex bijection.
+
+    Exhaustive backtracking with degree pruning; role tags are ignored.  Fine
+    for the <= ~20 vertex quivers this package handles.
+    """
+    if q1.n != q2.n or len(q1.arrows) != len(q2.arrows):
+        return None
+
+    def degree_sig(q: Quiver, v: Vertex) -> tuple[int, int]:
+        return (len(q.arrows_into(v)), len(q.arrows_from(v)))
+
+    sig1 = {v: degree_sig(q1, v) for v in q1.vertices}
+    sig2 = {v: degree_sig(q2, v) for v in q2.vertices}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
+
+    count1 = {}
+    for a in q1.arrows:
+        count1[a] = count1.get(a, 0) + 1
+    count2 = {}
+    for a in q2.arrows:
+        count2[a] = count2.get(a, 0) + 1
+
+    order = list(q1.vertices)
+    mapping: dict[Vertex, Vertex] = {}
+    used: set[Vertex] = set()
+
+    def consistent(v: Vertex, w: Vertex) -> bool:
+        if sig1[v] != sig2[w]:
+            return False
+        for u, img in mapping.items():
+            if count1.get((v, u), 0) != count2.get((w, img), 0):
+                return False
+            if count1.get((u, v), 0) != count2.get((img, w), 0):
+                return False
+        return True
+
+    def backtrack(pos: int) -> bool:
+        if pos == len(order):
+            return True
+        v = order[pos]
+        for w in q2.vertices:
+            if w in used or not consistent(v, w):
+                continue
+            mapping[v] = w
+            used.add(w)
+            if backtrack(pos + 1):
+                return True
+            del mapping[v]
+            used.remove(w)
+        return False
+
+    if backtrack(0):
+        return dict(mapping)
+    return None
+
+
+def mutate_c_g(c, g, bs, k: int, eps: int):
+    """The C- and G-matrices after mutation at slot k as dense products
+    C J_C and G J_G, on the pattern matrix bs with C-column sign eps."""
+    n = len(bs)
+
+    def matmul(a, b):
+        return tuple(
+            tuple(sum(a[i][m] * b[m][j] for m in range(n)) for j in range(n)) for i in range(n)
+        )
+
+    jg = [[int(i == j) for j in range(n)] for i in range(n)]
+    jc = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        jg[j][k] += max(0, -eps * bs[j][k])
+        jc[k][j] += max(0, eps * bs[k][j])
+    jg[k][k] = jc[k][k] = -1
+    return matmul(c, jc), matmul(g, jg)

@@ -329,10 +329,10 @@ def test_show_seed_negative_laurent_cap_env_exit_two(capsys, monkeypatch):
 def test_raising_check_is_reported_and_the_rest_still_run(capsys, monkeypatch):
     from quivertilt import report
 
-    def boom(ctx, cases, seed):
+    def boom(ctx):
         raise AssertionError("hom table broke")
 
-    monkeypatch.setitem(report._RUNNERS, "hom-table", boom)
+    monkeypatch.setitem(report.CHECKS, "hom-table", (report.CHECKS["hom-table"][0], boom))
     code, out, _ = run(
         capsys, "verify", "--a1", "2", "--a2", "2", "--json", "--checks", "tilting,hom-table,type"
     )
@@ -362,3 +362,28 @@ def test_raising_tilting_report_is_built_once(monkeypatch):
     for c in res.checks:
         assert not c.passed
         assert c.witness == {"error": "ArithmeticError: tilting report broke"}
+
+
+@pytest.mark.parametrize(
+    "name,readers",
+    [
+        ("replay_mu", ["golden-fixture", "palindrome", "order-two", "t-to-shift"]),
+        ("verify_T_maps_to_shift", ["golden-fixture", "t-to-shift"]),
+    ],
+)
+def test_raising_mutation_data_is_built_once(monkeypatch, name, readers):
+    from quivertilt import cluster, report
+
+    calls = []
+
+    def boom(*args):
+        calls.append(args)
+        raise ArithmeticError(f"{name} broke")
+
+    monkeypatch.setattr(cluster, name, boom)
+    res = report.run_checks(2, 2, checks=readers)
+    assert len(calls) == 1
+    assert [c.check_id for c in res.checks] == readers
+    for c in res.checks:
+        assert not c.passed and not c.skipped
+        assert c.witness == {"error": f"ArithmeticError: {name} broke"}

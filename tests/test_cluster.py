@@ -9,7 +9,7 @@ from quivertilt.quiver import Quiver, TypeLabel, r, s, t, to_exchange_matrix
 from quivertilt import cluster, reps
 from quivertilt.report import run_checks
 
-from reference import det
+from reference import det, find_isomorphism, mutate_c_g
 
 SWEEP = [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (3, 3), (2, 4), (1, 5)]
 
@@ -282,9 +282,22 @@ def test_replay_mu_matches_fresh_word_application(a1, a2):
     assert replay.mu2.same_data(cluster.apply_word(once, word.mu))
 
 
-def test_mu_quiver_isomorphic_to_q():
-    from quivertilt.quiver import find_isomorphism
+@pytest.mark.parametrize("a1,a2", [(2, 2), (3, 4), (6, 8)])
+def test_c_g_column_operations_match_dense_products(a1, a2):
+    """Every mutation of the mu replay updates C and G as the reference
+    dense products C J_C and G J_G do."""
+    seed = cluster.initial_seed(build_quiver(a1, a2), track_f=False)
+    word = cluster.build_mu(a1, a2).mu
+    for k in word + word:
+        kk = seed.index(k)
+        bs = [[cluster.SEED_B_SIGN * x for x in row] for row in seed.b]
+        eps = 1 if any(row[kk] > 0 for row in seed.c) else -1
+        nxt = cluster.mutate_seed(seed, k)
+        assert (nxt.c, nxt.g) == mutate_c_g(seed.c, seed.g, bs, kk, eps)
+        seed = nxt
 
+
+def test_mu_quiver_isomorphic_to_q():
     for (a1, a2) in [(2, 2), (2, 3), (3, 2)]:
         q = build_quiver(a1, a2)
         seed = cluster.apply_word(cluster.initial_seed(q, track_f=False), cluster.build_mu(a1, a2).mu)

@@ -110,7 +110,8 @@ def test_realize_linearity(a22):
     f2 = reps.realize_path_matrix(a22, pm_sum)
     f1 = reps.realize_path_matrix(a22, pm_one)
     for v in a22.quiver.vertices:
-        assert f2.blocks[v] == f1.blocks[v].scale(2)
+        doubled = [[2 * x for x in row] for row in f1.blocks[v].rows]
+        assert f2.blocks[v] == Matrix(doubled, ncols=f1.blocks[v].ncols)
 
 
 # -- presentations and tau ---------------------------------------------------------
@@ -408,7 +409,10 @@ def test_isomorphism_needs_thin_modules(a22):
 def gauge_rescaled(m, rng):
     """M with each arrow map multiplied by c_dst / c_src for random nonzero c_v."""
     c = {v: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7])) for v in m.dims}
-    maps = {(a, b): mat.scale(c[b] / c[a]) for (a, b), mat in m.maps.items()}
+    maps = {
+        (a, b): Matrix([[c[b] / c[a] * x for x in row] for row in mat.rows], ncols=mat.ncols)
+        for (a, b), mat in m.maps.items()
+    }
     return reps.Representation(m.algebra, dict(m.dims), maps)
 
 

@@ -5,6 +5,8 @@ from quivertilt.quiver import opposite, r
 from quivertilt.tilting import end_quiver, verify_tilting
 from quivertilt import reps
 
+from reference import find_isomorphism
+
 SWEEP = [(1, 2), (2, 2), (1, 4), (2, 3), (3, 2), (3, 3)]
 
 
@@ -72,6 +74,20 @@ def test_end_iso_to_qop_is_bijection():
         iso = verify_tilting(family_instance(a1, a2)).end_iso_to_Qop
         assert iso is not None
         assert sorted(iso) == sorted(iso.values())
+
+
+@pytest.mark.parametrize("a1,a2", [(a1, a2) for a1 in range(1, 5) for a2 in range(2, 6)])
+def test_opposite_isomorphism_is_a_quiver_isomorphism(a1, a2):
+    inst = family_instance(a1, a2)
+    q = inst.quiver
+    phi = inst.opposite_isomorphism()
+    assert sorted(phi) == sorted(q.vertices) == sorted(phi.values())
+    assert sorted((phi[a], phi[b]) for a, b in opposite(q).arrows) == sorted(q.arrows)
+    assert find_isomorphism(opposite(q), q) is not None
+
+
+def test_end_iso_to_q_is_the_closed_form_map(report):
+    assert report.end_iso_to_Q == family_instance(report.a1, report.a2).opposite_isomorphism()
 
 
 def test_verify_tilting_solves_each_summand_pair_once(monkeypatch):
