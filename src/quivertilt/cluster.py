@@ -253,11 +253,7 @@ def build_mu(a1: int, a2: int) -> MutationWord:
 def f_polynomial(m: Representation) -> IntPoly:
     """Sum over submodules U of y^{dim U}; the monomial count equals the
     submodule count."""
-    if not m.is_thin_binary():
-        raise UnsupportedInput("f_polynomial needs a thin module with 0/1 maps")
     n = m.algebra.quiver.n
-    if m.is_zero():
-        return IntPoly.one(n)
     lattice = reps.submodules_thin(m)
     terms: dict[tuple[int, ...], int] = {}
     for sub in lattice.subsets:

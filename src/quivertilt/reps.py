@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import TopologicalSorter
 from typing import Iterable, Optional, Sequence
 
 from .algebra import BoundAlgebra, PathCombo, PathMatrix
@@ -249,9 +250,7 @@ class Morphism:
     def then(self, other: "Morphism") -> "Morphism":
         """self followed by other (other ∘ self)."""
         if other.source is not self.target:
-            # allow composition when dims agree even if objects differ
-            if other.source.dims != self.target.dims:
-                raise ShapeError("composition shape mismatch")
+            raise ShapeError("composition through a different module")
         blocks = {
             v: other.blocks[v] @ self.blocks[v] for v in self.source.algebra.quiver.vertices
         }
@@ -650,7 +649,6 @@ def projective_dimension_le1(m: Representation) -> bool:
 class SubmoduleSet:
     """All submodules of a thin module, as arrow-closed support subsets."""
 
-    support: tuple[Vertex, ...]
     subsets: tuple[frozenset[Vertex], ...]
 
     @property
@@ -665,21 +663,23 @@ class SubmoduleSet:
 
 
 def submodules_thin(m: Representation) -> SubmoduleSet:
-    """Enumerate arrow-closed subsets of the support of a thin 0/1 module."""
+    """Enumerate arrow-closed subsets of the support of a thin 0/1 module.
+
+    The support is walked successors first, so each vertex v is added to
+    every subset built so far that already holds v's successors; each
+    submodule is built exactly once.  Every cycle of the quiver contains a
+    relation, so the nonzero arrows of a module form no cycle."""
     if not m.is_thin_binary():
         raise UnsupportedInput("submodule enumeration needs a thin module with 0/1 maps")
-    supp = sorted(m.support())
-    index = {v: i for i, v in enumerate(supp)}
-    edges = []
+    succ: dict[Vertex, set[Vertex]] = {v: set() for v in m.support()}
     for (a, b), mat in m.maps.items():
-        if a in index and b in index and not mat.is_zero():
-            edges.append((index[a], index[b]))
-    subsets = []
-    for mask in range(1 << len(supp)):
-        if all(not (mask >> i) & 1 or (mask >> j) & 1 for (i, j) in edges):
-            subsets.append(frozenset(supp[i] for i in range(len(supp)) if (mask >> i) & 1))
+        if a in succ and b in succ and not mat.is_zero():
+            succ[a].add(b)
+    subsets = [frozenset()]
+    for v in TopologicalSorter(succ).static_order():
+        subsets += [u | {v} for u in subsets if succ[v] <= u]
     subsets.sort(key=lambda s: (len(s), sorted(v.sort_key() for v in s)))
-    return SubmoduleSet(tuple(supp), tuple(subsets))
+    return SubmoduleSet(tuple(subsets))
 
 
 def classify_submodule_counts(

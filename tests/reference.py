@@ -253,3 +253,21 @@ def mutate_c_g(c, g, bs, k: int, eps: int):
         jc[k][j] += max(0, eps * bs[k][j])
     jg[k][k] = jc[k][k] = -1
     return matmul(c, jc), matmul(g, jg)
+
+
+def submodules_thin(m: Representation) -> reps.SubmoduleSet:
+    """Enumerate arrow-closed subsets of the support of a thin 0/1 module."""
+    if not m.is_thin_binary():
+        raise UnsupportedInput("submodule enumeration needs a thin module with 0/1 maps")
+    supp = sorted(m.support())
+    index = {v: i for i, v in enumerate(supp)}
+    edges = []
+    for (a, b), mat in m.maps.items():
+        if a in index and b in index and not mat.is_zero():
+            edges.append((index[a], index[b]))
+    subsets = []
+    for mask in range(1 << len(supp)):
+        if all(not (mask >> i) & 1 or (mask >> j) & 1 for (i, j) in edges):
+            subsets.append(frozenset(supp[i] for i in range(len(supp)) if (mask >> i) & 1))
+    subsets.sort(key=lambda s: (len(s), sorted(v.sort_key() for v in s)))
+    return reps.SubmoduleSet(tuple(subsets))

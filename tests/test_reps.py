@@ -18,7 +18,7 @@ from quivertilt.family import family_instance
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, r, s, t
 from quivertilt.tilting import verify_tilting
-from quivertilt import properties, reps
+from quivertilt import properties, report, reps
 
 import reference
 
@@ -298,6 +298,17 @@ def test_hom_identity_present(a22):
     assert reps.hom_dim(m, m) >= 1
 
 
+def test_composition_needs_the_same_middle_module(a22):
+    m = reps.thin_from_support(a22, [r(0), r(1)])
+    maps = dict(m.maps)
+    maps[(r(0), r(1))] = Matrix.zeros(1, 1)
+    split = reps.Representation(a22, dict(m.dims), maps)  # same dims, different map
+    to_split = reps.Morphism(reps.simple(a22, r(1)), split, {r(1): Matrix([[1]])})
+    from_m = reps.Morphism.identity(m)
+    with pytest.raises(ShapeError):
+        to_split.then(from_m)
+
+
 def test_hom_requires_same_algebra(a22, a2_quiver):
     with pytest.raises(ShapeError):
         reps.hom_basis(reps.simple(a22, r(0)), reps.simple(a2_quiver, r(1)))
@@ -364,6 +375,27 @@ def test_lattice_closure(a22):
     lat = reps.submodules_thin(m)
     assert lat.is_lattice()
     assert frozenset() in lat.subsets and m.support() in lat.subsets
+
+
+@pytest.mark.parametrize("a1,a2", [(2, 2), (2, 4), (3, 3), (3, 4), (4, 5)])
+def test_submodules_match_reference(a1, a2):
+    """Every M(x), every τM(x) and 40 random thin modules; the 2^|supp|
+    reference runs only where |supp| <= 14."""
+    inst = family_instance(a1, a2)
+    summands = [inst.module_M(x) for x in inst.vertices]
+    rng = random.Random(1000 * a1 + a2)
+    randoms = [properties.random_thin_module(rng, inst) for _ in range(40)]
+    for m in summands + [reps.tau(m) for m in summands] + randoms:
+        if len(m.support()) <= 14:
+            assert reps.submodules_thin(m).subsets == reference.submodules_thin(m).subsets
+
+
+def test_submodule_counts_at_10_12():
+    result = report.run_checks(10, 12, checks=["submodule-counts"])
+    (check,) = result.checks
+    assert check.passed
+    assert all(entry["total"] == 121 for entry in check.witness["modules"].values())
+    assert len(check.witness["modules"]) == 13
 
 
 # -- thin_from_support -------------------------------------------------------------------
