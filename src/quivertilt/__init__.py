@@ -8,7 +8,6 @@ from .cluster import (
     Seed,
     apply_word,
     build_mu,
-    cc_character,
     cc_exponent,
     f_polynomial,
     g_vector,
@@ -53,7 +52,6 @@ from .reps import (
     stable_hom_dim,
     submodules_thin,
     tau,
-    tau_inverse,
     thin_from_support,
 )
 from .tilting import TiltingReport, end_quiver, verify_tilting

@@ -50,7 +50,7 @@ class Path:
         return self.label()
 
     def sort_key(self):
-        return (len(self.arrows), tuple((a.sort_key(), b.sort_key()) for (a, b) in self.arrows))
+        return (len(self.arrows), self.arrows)
 
     def reversed(self) -> "Path":
         """The same walk in the opposite quiver."""
@@ -171,9 +171,7 @@ class BoundAlgebra:
             "dim": self.dimension,
             "basis": {
                 f"{x.label}->{y.label}": [p.label() for p in paths]
-                for (x, y), paths in sorted(
-                    self.basis.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-                )
+                for (x, y), paths in sorted(self.basis.items(), key=lambda kv: kv[0])
                 if paths
             },
         }

@@ -171,27 +171,23 @@ def apply_word(seed: Seed, word: Sequence[Vertex | int]) -> Seed:
     return seed
 
 
-def _character(g: Sequence[int], fpoly: IntPoly, b0_pattern: IntRows) -> LaurentPoly:
-    """x^g * F(yhat) expanded monomial by monomial, yhat_j = y_j x^{b0 column j}."""
-    n = len(g)
+def seed_variable(seed: Seed, k: int, b0_pattern: IntRows) -> LaurentPoly:
+    """The cluster variable x^{G_k} F_k(yhat) in slot k as a Laurent
+    polynomial in (x_1..x_n, y_1..y_n), expanded monomial by monomial with
+    yhat_j = y_j x^{b0 column j}."""
+    if seed.f is None:
+        raise UnsupportedInput("seed does not track F-polynomials")
+    g = seed.g_column(k)
     terms: dict[tuple[int, ...], int] = {}
-    for mono, coeff in fpoly.terms.items():
+    for mono, coeff in seed.f[k].terms.items():
         x_part = list(g)
         for j, e in enumerate(mono):
             if e:
-                for i in range(n):
+                for i in range(seed.n):
                     x_part[i] += b0_pattern[i][j] * e
         key = tuple(x_part) + mono
         terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(2 * n, terms)
-
-
-def seed_variable(seed: Seed, k: int, b0_pattern: IntRows) -> LaurentPoly:
-    """The cluster variable x^{G_k} F_k(yhat) in slot k as a Laurent
-    polynomial in (x_1..x_n, y_1..y_n)."""
-    if seed.f is None:
-        raise UnsupportedInput("seed does not track F-polynomials")
-    return _character(seed.g_column(k), seed.f[k], b0_pattern)
+    return LaurentPoly(2 * seed.n, terms)
 
 
 def pattern_matrix(quiver: Quiver) -> IntRows:
@@ -281,12 +277,6 @@ def cc_exponent(m: Representation) -> tuple[int, ...]:
     cluster variable: [I1] - [I0] from the minimal injective copresentation,
     which is the negated g-vector of the dual module."""
     return tuple(-x for x in g_vector(reps.dual(m)))
-
-
-def cc_character(m: Representation, quiver: Quiver) -> LaurentPoly:
-    """The module's cluster variable x^{g°(M)} F_M(yhat) as a Laurent
-    polynomial in (x, y); specializing y -> 1 is subtraction-free."""
-    return _character(cc_exponent(m), f_polynomial(m), pattern_matrix(quiver))
 
 
 # -- section-7 verifications ---------------------------------------------------

@@ -71,10 +71,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({[[str(x) for x in r] for r in self.rows]})"
 
-    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
-        i, j = idx
-        return self.rows[i][j]
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 

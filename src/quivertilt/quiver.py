@@ -10,31 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple, Optional
 
 from .errors import ConversionError, VertexError
 
-_ROLE_RANK = {"r": 0, "s": 1, "t": 2}
 
+class Vertex(NamedTuple("_Vertex", [("role", str), ("index", int)])):
+    """A (role, index) pair.  Tuple order is the canonical vertex order,
+    because the roles r < s < t sort as letters."""
 
-@dataclass(frozen=True, order=False)
-class Vertex:
-    role: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.role not in _ROLE_RANK:
-            raise VertexError(f"unknown vertex role {self.role!r}")
+    def __new__(cls, role: str, index: int):
+        if role not in ("r", "s", "t"):
+            raise VertexError(f"unknown vertex role {role!r}")
+        return super().__new__(cls, role, index)
 
     @property
     def label(self) -> str:
         return f"{self.role}{self.index}"
-
-    def sort_key(self) -> tuple[int, int]:
-        return (_ROLE_RANK[self.role], self.index)
-
-    def __lt__(self, other: "Vertex") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
         return self.label
@@ -163,9 +158,6 @@ class ExchangeMatrix:
     def n(self) -> int:
         return len(self.vertices)
 
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        return self.entries[idx[0]][idx[1]]
-
     def vertex_index(self, v: Vertex) -> int:
         try:
             return self.vertices.index(v)
@@ -245,19 +237,14 @@ class TypeLabel:
 
 
 def has_directed_cycle(q: Quiver) -> bool:
-    color = {v: 0 for v in q.vertices}
-
-    def visit(v: Vertex) -> bool:
-        color[v] = 1
-        for (_, dst) in q.arrows_from(v):
-            if color[dst] == 1:
-                return True
-            if color[dst] == 0 and visit(dst):
-                return True
-        color[v] = 2
-        return False
-
-    return any(color[v] == 0 and visit(v) for v in q.vertices)
+    succ: dict[Vertex, set[Vertex]] = {v: set() for v in q.vertices}
+    for (src, dst) in q.arrows:
+        succ[src].add(dst)
+    try:
+        TopologicalSorter(succ).prepare()
+    except CycleError:
+        return True
+    return False
 
 
 def tree_branch_data(q: Quiver) -> Optional[tuple[int, int, int]]:

@@ -111,7 +111,7 @@ class Representation:
             "dims": {v.label: d for v, d in sorted(self.dims.items()) if d},
             "maps": {
                 f"{a.label}->{b.label}": [[str(x) for x in row] for row in m.rows]
-                for (a, b), m in sorted(self.maps.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
+                for (a, b), m in sorted(self.maps.items(), key=lambda kv: kv[0])
                 if m.nrows and m.ncols
             },
         }
@@ -534,9 +534,10 @@ def realize_path_matrix(algebra: BoundAlgebra, pm: PathMatrix) -> Morphism:
 
 
 def tau(m: Representation) -> Representation:
-    """AR translate D Tr via the minimal presentation, kept on the module.
-    Projective direct summands contribute nothing (their presentation has no
-    P1 part)."""
+    """AR translate τM = D Tr M = ker ν(d), kept on the module: ν = D Hom(-, A)
+    is the Nakayama functor and d: P1 -> P0 the minimal presentation, so
+    ν(d) = D d^op, whose kernel is D coker d^op.  Projective direct summands
+    contribute nothing (their presentation has no P1 part)."""
     if m._tau is not None:
         return m._tau
     pres = minimal_projective_presentation(m)
@@ -544,14 +545,8 @@ def tau(m: Representation) -> Representation:
         m._tau = zero_rep(m.algebra)
     else:
         d_op = realize_path_matrix(m.algebra.opposite_algebra(), pres.path_matrix.transpose())
-        tr, _ = cokernel(d_op)
-        m._tau = dual(tr)
+        m._tau = kernel(dual_morphism(d_op))[0]
     return m._tau
-
-
-def tau_inverse(m: Representation) -> Representation:
-    """Tr D = D tau D; injective direct summands are annihilated."""
-    return dual(tau(dual(m)))
 
 
 # -- Ext and stable Hom -------------------------------------------------------
@@ -678,7 +673,7 @@ def submodules_thin(m: Representation) -> SubmoduleSet:
     subsets = [frozenset()]
     for v in TopologicalSorter(succ).static_order():
         subsets += [u | {v} for u in subsets if succ[v] <= u]
-    subsets.sort(key=lambda s: (len(s), sorted(v.sort_key() for v in s)))
+    subsets.sort(key=lambda s: (len(s), sorted(s)))
     return SubmoduleSet(tuple(subsets))
 
 

@@ -9,8 +9,9 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from quivertilt import reps
+from quivertilt import cluster, reps
 from quivertilt.errors import ShapeError, UnsupportedInput
+from quivertilt.fpoly import LaurentPoly
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, Vertex
 from quivertilt.reps import Morphism, Representation
@@ -137,6 +138,11 @@ def tau(m: Representation) -> Representation:
     d_op = realize_path_matrix(m.algebra.opposite_algebra(), pres.path_matrix.transpose())
     tr, _ = cokernel(d_op)
     return reps.dual(tr)
+
+
+def tau_inverse(m: Representation) -> Representation:
+    """Tr D = D τ D; injective direct summands are annihilated."""
+    return reps.dual(reps.tau(reps.dual(m)))
 
 
 def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morphism]:
@@ -269,5 +275,18 @@ def submodules_thin(m: Representation) -> reps.SubmoduleSet:
     for mask in range(1 << len(supp)):
         if all(not (mask >> i) & 1 or (mask >> j) & 1 for (i, j) in edges):
             subsets.append(frozenset(supp[i] for i in range(len(supp)) if (mask >> i) & 1))
-    subsets.sort(key=lambda s: (len(s), sorted(v.sort_key() for v in s)))
+    subsets.sort(key=lambda s: (len(s), sorted(s)))
     return reps.SubmoduleSet(tuple(subsets))
+
+
+def cc_character(m: Representation, quiver: Quiver) -> LaurentPoly:
+    """The module's cluster variable x^{g°(M)} F_M(yhat) in (x, y), expanded
+    from the module's own exponent and F-polynomial rather than from a seed;
+    yhat_j = y_j x^{b0 column j}."""
+    g = cluster.cc_exponent(m)
+    b0 = cluster.pattern_matrix(quiver)
+    terms: dict[tuple[int, ...], int] = {}
+    for mono, coeff in cluster.f_polynomial(m).terms.items():
+        x_part = tuple(g[i] + sum(b0[i][j] * e for j, e in enumerate(mono)) for i in range(len(g)))
+        terms[x_part + mono] = terms.get(x_part + mono, 0) + coeff
+    return LaurentPoly(2 * len(g), terms)

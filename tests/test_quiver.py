@@ -7,7 +7,9 @@ from quivertilt.errors import ConversionError, VertexError
 from quivertilt.quiver import (
     Quiver,
     TypeLabel,
+    Vertex,
     classify_acyclic_type,
+    has_directed_cycle,
     mutate_matrix,
     opposite,
     parse_vertex,
@@ -199,6 +201,20 @@ def test_classify_other_for_two_branch_vertices():
     assert classify_acyclic_type(Quiver(verts, arrows)) == TypeLabel("Other")
 
 
+def test_has_directed_cycle():
+    from quivertilt.cluster import build_mu
+
+    assert has_directed_cycle(build_quiver(2, 3))
+    mu_r = to_exchange_matrix(build_quiver(3, 3))
+    for k in build_mu(3, 3).mu_r:
+        mu_r = mutate_matrix(mu_r, k)
+    assert not has_directed_cycle(mu_r.to_quiver())
+    # the only cycle r1 -> r2 -> r3 -> r1 avoids the first vertex r0
+    verts = tuple(r(i) for i in range(4))
+    arrows = ((r(0), r(1)), (r(1), r(2)), (r(2), r(3)), (r(3), r(1)))
+    assert has_directed_cycle(Quiver(verts, arrows))
+
+
 def test_tree_branch_data():
     assert tree_branch_data(tree_quiver(3, 3, 2)) == (2, 3, 3)
     assert tree_branch_data(path_quiver(4)) is None
@@ -227,6 +243,24 @@ def test_s1_source_in_mu_r_quiver():
 
 
 # -- serialization ---------------------------------------------------------------
+
+
+def test_vertex_role_checked():
+    with pytest.raises(VertexError):
+        Vertex("x", 1)
+
+
+def test_vertex_tuple_order_is_canonical_order():
+    # r9 < r10 holds for the tuples but not for the labels
+    for (a1, a2) in [(1, 2), (3, 4), (10, 12)]:
+        q = build_quiver(a1, a2)
+        assert sorted(reversed(q.vertices)) == list(q.vertices)
+
+
+def test_vertex_equality_and_hash():
+    assert r(3) == Vertex("r", 3)
+    assert hash(r(3)) == hash(Vertex("r", 3))
+    assert {r(3): 1}[Vertex("r", 3)] == 1
 
 
 def test_parse_vertex():
