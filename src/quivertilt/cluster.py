@@ -119,9 +119,10 @@ def mutate_seed(seed: Seed, k: Vertex | int) -> Seed:
     """
     kk = seed.index(k)
     n = seed.n
-    bs = tuple(tuple(SEED_B_SIGN * x for x in row) for row in seed.b)
+    # column k of the pattern matrix; its row k is the negated column, as b is skew
+    bk = [SEED_B_SIGN * row[kk] for row in seed.b]
 
-    col = [seed.c[j][kk] for j in range(n)]
+    col = [row[kk] for row in seed.c]
     has_pos = any(x > 0 for x in col)
     has_neg = any(x < 0 for x in col)
     if has_pos and has_neg:
@@ -132,32 +133,26 @@ def mutate_seed(seed: Seed, k: Vertex | int) -> Seed:
 
     new_f = None
     if seed.f is not None:
-        pos = IntPoly.one(n)
-        neg = IntPoly.one(n)
-        for j in range(n):
-            cjk = seed.c[j][kk]
-            if cjk > 0:
-                pos = pos * IntPoly.variable(n, j, cjk)
-            elif cjk < 0:
-                neg = neg * IntPoly.variable(n, j, -cjk)
-            bjk = bs[j][kk]
-            if bjk > 0:
-                pos = pos * (seed.f[j] ** bjk)
-            elif bjk < 0:
-                neg = neg * (seed.f[j] ** (-bjk))
+        # F_k' = (y^[c_k]_+ prod F_j^[b_jk]_+  +  y^[-c_k]_+ prod F_j^[-b_jk]_+) / F_k
+        pos = IntPoly(n, {tuple(max(0, x) for x in col): 1})
+        neg = IntPoly(n, {tuple(max(0, -x) for x in col): 1})
+        for f_j, b_jk in zip(seed.f, bk):
+            if b_jk > 0:
+                pos = pos * f_j**b_jk
+            elif b_jk < 0:
+                neg = neg * f_j**-b_jk
         f_k = (pos + neg).exact_div(seed.f[kk])
-        new_f = tuple(f_k if j == kk else seed.f[j] for j in range(n))
+        new_f = seed.f[:kk] + (f_k,) + seed.f[kk + 1 :]
 
-    # column operations: G column k becomes -g_k + sum_j [-eps*bs_jk]_+ g_j,
-    # and C column j != k gains [eps*bs_kj]_+ c_k while column k flips sign
-    gk = [max(0, -eps * bs[j][kk]) for j in range(n)]
+    # w_j = [-eps*b_jk]_+ = [eps*b_kj]_+: G column k becomes -g_k + sum_j w_j g_j,
+    # and C column j != k gains w_j c_k while column k flips sign
+    w = [max(0, -eps * b_jk) for b_jk in bk]
     new_g = tuple(
-        tuple(sum(w * y for w, y in zip(gk, row)) - x if j == kk else x for j, x in enumerate(row))
+        tuple(sum(w_j * y for w_j, y in zip(w, row)) - x if j == kk else x for j, x in enumerate(row))
         for row in seed.g
     )
-    ck = [max(0, eps * bs[kk][j]) for j in range(n)]
     new_c = tuple(
-        tuple(-x if j == kk else x + ck[j] * row[kk] for j, x in enumerate(row))
+        tuple(-x if j == kk else x + w[j] * row[kk] for j, x in enumerate(row))
         for row in seed.c
     )
 
@@ -185,8 +180,7 @@ def seed_variable(seed: Seed, k: int, b0_pattern: IntRows) -> LaurentPoly:
             if e:
                 for i in range(seed.n):
                     x_part[i] += b0_pattern[i][j] * e
-        key = tuple(x_part) + mono
-        terms[key] = terms.get(key, 0) + coeff
+        terms[tuple(x_part) + mono] = coeff
     return LaurentPoly(2 * seed.n, terms)
 
 
@@ -249,13 +243,9 @@ def build_mu(a1: int, a2: int) -> MutationWord:
 def f_polynomial(m: Representation) -> IntPoly:
     """Sum over submodules U of y^{dim U}; the monomial count equals the
     submodule count."""
-    n = m.algebra.quiver.n
-    lattice = reps.submodules_thin(m)
-    terms: dict[tuple[int, ...], int] = {}
-    for sub in lattice.subsets:
-        mono = tuple(1 if v in sub else 0 for v in m.algebra.quiver.vertices)
-        terms[mono] = terms.get(mono, 0) + 1
-    return IntPoly(n, terms)
+    vertices = m.algebra.quiver.vertices
+    subsets = reps.submodules_thin(m).subsets
+    return IntPoly(len(vertices), {tuple(int(v in sub) for v in vertices): 1 for sub in subsets})
 
 
 def g_vector(m: Representation) -> tuple[int, ...]:

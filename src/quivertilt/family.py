@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BoundAlgebra, Path, PathMatrix, build_algebra, combo_of
-from .errors import UnsupportedParameters, VertexError
+from .errors import VertexError
 from .quiver import Quiver, Vertex, r, s, t
 from . import reps
 from .reps import Representation
@@ -209,8 +209,6 @@ class FamilyInstance:
 
 
 def family_instance(a1: int, a2: int) -> FamilyInstance:
-    if a1 < 1 or a2 < 2:
-        raise UnsupportedParameters(f"need a1 >= 1 and a2 >= 2, got ({a1}, {a2})")
     return FamilyInstance(a1, a2, build_algebra(a1, a2))
 
 

@@ -31,24 +31,17 @@ class IntPoly:
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         self.nvars = nvars
-        clean: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
+        terms = terms or {}
+        for mono in terms:
             if len(mono) != nvars:
                 raise ShapeError("monomial arity mismatch")
-            if any(e < 0 for e in mono):
+            if min(mono, default=0) < 0:
                 raise ShapeError("negative exponent in polynomial")
-            if coeff:
-                clean[mono] = clean.get(mono, 0) + coeff
-        self.terms = {m: c for m, c in clean.items() if c}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     @staticmethod
     def one(nvars: int) -> "IntPoly":
         return IntPoly(nvars, {(0,) * nvars: 1})
-
-    @staticmethod
-    def variable(nvars: int, index: int, power: int = 1) -> "IntPoly":
-        mono = tuple(power if i == index else 0 for i in range(nvars))
-        return IntPoly(nvars, {mono: 1})
 
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
@@ -88,12 +81,8 @@ class IntPoly:
         if power < 0:
             raise ShapeError("negative polynomial power")
         result = IntPoly.one(self.nvars)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
+        for _ in range(power):
+            result = result * self
         return result
 
     def exact_div(self, divisor: "IntPoly") -> "IntPoly":
@@ -146,13 +135,10 @@ class LaurentPoly:
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         self.nvars = nvars
-        clean: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            if len(mono) != nvars:
-                raise ShapeError("monomial arity mismatch")
-            if coeff:
-                clean[mono] = clean.get(mono, 0) + coeff
-        self.terms = clean
+        terms = terms or {}
+        if any(len(mono) != nvars for mono in terms):
+            raise ShapeError("monomial arity mismatch")
+        self.terms = {m: c for m, c in terms.items() if c}
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -268,12 +268,6 @@ class Morphism:
             return False
         return all(b.is_invertible() for b in self.blocks.values())
 
-    @staticmethod
-    def identity(m: Representation) -> "Morphism":
-        return Morphism(
-            m, m, {v: Matrix.identity(m.dims[v]) for v in m.algebra.quiver.vertices}, check=False
-        )
-
 
 # -- Hom spaces ---------------------------------------------------------------
 
@@ -311,13 +305,8 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
                     row[var(src, k, j)] -= psi.rows[i][k]
                 rows.append(row)
 
-    if rows:
-        kernel = Matrix(rows, ncols=total).kernel_basis()
-    else:
-        kernel = [tuple(Fraction(1) if i == k else Fraction(0) for i in range(total)) for k in range(total)]
-
     basis = []
-    for vec in kernel:
+    for vec in Matrix(rows, ncols=total).kernel_basis():
         blocks = {}
         for v in vertices:
             rows_v = []
@@ -490,10 +479,6 @@ def minimal_projective_presentation(m: Representation) -> Presentation:
     algebra = m.algebra
     p0, cover, verts0, offsets0 = projective_cover(m)
     syz, incl = kernel(cover)
-    if syz.is_zero():
-        pm = PathMatrix(verts0, (), tuple(() for _ in verts0))
-        m._presentation = Presentation(verts0, (), p0, zero_rep(algebra), pm, syz, incl)
-        return m._presentation
     p1, cover1, verts1, offsets1 = projective_cover(syz)
     diff = cover1.then(incl)
     entries: list[list[PathCombo]] = [[() for _ in verts1] for _ in verts0]

@@ -11,7 +11,7 @@ from typing import Optional
 
 from quivertilt import cluster, reps
 from quivertilt.errors import ShapeError, UnsupportedInput
-from quivertilt.fpoly import LaurentPoly
+from quivertilt.fpoly import IntPoly, LaurentPoly
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, Vertex
 from quivertilt.reps import Morphism, Representation
@@ -259,6 +259,28 @@ def mutate_c_g(c, g, bs, k: int, eps: int):
         jc[k][j] += max(0, eps * bs[k][j])
     jg[k][k] = jc[k][k] = -1
     return matmul(c, jc), matmul(g, jg)
+
+
+def mutate_f(f, c, bs, k: int):
+    """The F-polynomials after mutation at slot k, with the exchange binomial
+    built one variable power and one F-power factor at a time, on the pattern
+    matrix bs and the C-matrix c before the mutation."""
+    n = len(bs)
+    pos = IntPoly.one(n)
+    neg = IntPoly.one(n)
+    for j in range(n):
+        cjk = c[j][k]
+        if cjk > 0:
+            pos = pos * IntPoly(n, {tuple(cjk if i == j else 0 for i in range(n)): 1})
+        elif cjk < 0:
+            neg = neg * IntPoly(n, {tuple(-cjk if i == j else 0 for i in range(n)): 1})
+        bjk = bs[j][k]
+        if bjk > 0:
+            pos = pos * (f[j] ** bjk)
+        elif bjk < 0:
+            neg = neg * (f[j] ** (-bjk))
+    f_k = (pos + neg).exact_div(f[k])
+    return tuple(f_k if j == k else f[j] for j in range(n))
 
 
 def submodules_thin(m: Representation) -> reps.SubmoduleSet:

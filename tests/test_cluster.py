@@ -10,7 +10,7 @@ from quivertilt import cluster, reps
 from quivertilt.report import run_checks
 
 import reference
-from reference import det, find_isomorphism, mutate_c_g
+from reference import det, find_isomorphism, mutate_c_g, mutate_f
 
 SWEEP = [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (3, 3), (2, 4), (1, 5)]
 
@@ -296,6 +296,24 @@ def test_c_g_column_operations_match_dense_products(a1, a2):
         nxt = cluster.mutate_seed(seed, k)
         assert (nxt.c, nxt.g) == mutate_c_g(seed.c, seed.g, bs, kk, eps)
         seed = nxt
+
+
+@pytest.mark.parametrize("a1,a2", [(2, 2), (3, 4), (4, 5)])
+def test_f_update_matches_reference(a1, a2):
+    """Every mutation of mu twice and of the palindrome words updates the
+    F-polynomials as the factor-by-factor reference recurrence does."""
+    word = cluster.build_mu(a1, a2)
+    start = cluster.initial_seed(build_quiver(a1, a2))
+    base = cluster.apply_word(start, word.mu_r)
+    runs = [(start, word.mu + word.mu)]
+    runs += [(base, w) for w in (tuple(reversed(word.mu_s)), word.mu_t, tuple(reversed(word.mu_t)))]
+    for seed, w in runs:
+        for k in w:
+            kk = seed.index(k)
+            bs = [[cluster.SEED_B_SIGN * x for x in row] for row in seed.b]
+            nxt = cluster.mutate_seed(seed, k)
+            assert nxt.f == mutate_f(seed.f, seed.c, bs, kk)
+            seed = nxt
 
 
 def test_mu_quiver_isomorphic_to_q():

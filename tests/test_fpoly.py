@@ -26,7 +26,11 @@ def test_add_mul():
 def test_pow():
     a = P(1, {(1,): 1, (0,): 1})
     assert (a ** 3).terms == {(3,): 1, (2,): 3, (1,): 3, (0,): 1}
+    assert (a ** 2).terms == {(2,): 1, (1,): 2, (0,): 1}
+    assert a ** 1 == a
     assert (a ** 0).is_one()
+    with pytest.raises(ShapeError):
+        a ** -1
 
 
 def test_exact_div_round_trip():
@@ -53,6 +57,8 @@ def test_exact_div_rejects_noninteger():
 def test_negative_exponent_rejected():
     with pytest.raises(ShapeError):
         P(1, {(-1,): 1})
+    with pytest.raises(ShapeError):
+        P(1, {(-1,): 0})
 
 
 def test_counts():

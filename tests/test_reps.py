@@ -121,6 +121,9 @@ def test_presentation_of_projective_has_no_p1(a22):
     pres = reps.minimal_projective_presentation(reps.projective(a22, s(1)))
     assert pres.p1_vertices == ()
     assert pres.p0_vertices == (s(1),)
+    assert pres.p1.is_zero()
+    assert pres.syzygy.is_zero()
+    assert pres.path_matrix.entries == ((),)
 
 
 def test_presentation_of_M_r0(a22):
@@ -304,7 +307,7 @@ def test_composition_needs_the_same_middle_module(a22):
     maps[(r(0), r(1))] = Matrix.zeros(1, 1)
     split = reps.Representation(a22, dict(m.dims), maps)  # same dims, different map
     to_split = reps.Morphism(reps.simple(a22, r(1)), split, {r(1): Matrix([[1]])})
-    from_m = reps.Morphism.identity(m)
+    from_m = reps.hom_basis(m, m)[0]
     with pytest.raises(ShapeError):
         to_split.then(from_m)
 
