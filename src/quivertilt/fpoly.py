@@ -9,6 +9,7 @@ phenomenon assertion the cluster engine relies on.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 from .errors import LaurentPhenomenonViolation, ShapeError
@@ -17,11 +18,11 @@ Monomial = tuple[int, ...]
 
 
 def _add_exponents(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _sub_exponents(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 class IntPoly:

@@ -248,13 +248,22 @@ class Morphism:
         return all(b.is_zero() for b in self.blocks.values())
 
     def then(self, other: "Morphism") -> "Morphism":
-        """self followed by other (other ∘ self)."""
+        """self followed by other (other ∘ self).  Between thin modules it is
+        the product of the two scalars at each vertex where all three modules
+        are supported, and zero elsewhere."""
         if other.source is not self.target:
             raise ShapeError("composition through a different module")
-        blocks = {
-            v: other.blocks[v] @ self.blocks[v] for v in self.source.algebra.quiver.vertices
-        }
-        return Morphism(self.source, other.target, blocks, check=False)
+        m, n, p = self.source, self.target, other.target
+        vertices = m.algebra.quiver.vertices
+        if m.is_thin() and n.is_thin() and p.is_thin():
+            blocks = {
+                v: Matrix([[other.blocks[v].rows[0][0] * self.blocks[v].rows[0][0]]])
+                for v in vertices
+                if m.dims[v] and n.dims[v] and p.dims[v]
+            }
+        else:
+            blocks = {v: other.blocks[v] @ self.blocks[v] for v in vertices}
+        return Morphism(m, p, blocks, check=False)
 
     def flatten(self) -> tuple[Fraction, ...]:
         out: list[Fraction] = []
@@ -272,11 +281,64 @@ class Morphism:
 # -- Hom spaces ---------------------------------------------------------------
 
 
+def _thin_hom_components(m: Representation, n: Representation) -> list[dict[Vertex, Fraction]]:
+    """Hom(M, N) for thin M and N, one scalar c_v per vertex v of
+    supp M ∩ supp N, as one dict {v: c_v} per basis morphism.
+
+    An arrow a: u -> w gives the equation c_w·M_a = N_a·c_u.  Nonzero in both
+    modules it links u and w with c_w = c_u·N_a / M_a; nonzero in M only it
+    forces c_w = 0, in N only c_u = 0.  Each linked component whose scalars,
+    set to 1 at its first vertex in canonical order and propagated along the
+    links, agree around every cycle and avoid the forced zeros spans one
+    line of Hom(M, N); the other components contribute nothing (Crawley-Boevey
+    1989, the thin case)."""
+    common = [v for v in m.algebra.quiver.vertices if m.dims[v] and n.dims[v]]
+    links: dict[Vertex, list[tuple[Vertex, Fraction]]] = {v: [] for v in common}
+    forced_zero: set[Vertex] = set()
+    for arrow in m.algebra.quiver.arrows:
+        u, w = arrow
+        if not (m.dims[u] and n.dims[w]):
+            continue
+        m_a = m.maps[arrow].rows[0][0] if m.dims[w] else 0
+        n_a = n.maps[arrow].rows[0][0] if n.dims[u] else 0
+        if m_a and n_a:
+            links[u].append((w, n_a / m_a))
+            links[w].append((u, m_a / n_a))
+        elif m_a:
+            forced_zero.add(w)
+        elif n_a:
+            forced_zero.add(u)
+    scale: dict[Vertex, Fraction] = {}
+    components = []
+    for root in common:
+        if root in scale:
+            continue
+        scale[root] = Fraction(1)
+        queue = [root]
+        consistent = True
+        for v in queue:
+            for w, ratio in links[v]:
+                if w not in scale:
+                    scale[w] = scale[v] * ratio
+                    queue.append(w)
+                elif scale[w] != scale[v] * ratio:
+                    consistent = False
+        if consistent and forced_zero.isdisjoint(queue):
+            components.append({v: scale[v] for v in queue})
+    return components
+
+
 def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Deterministic basis of Hom(M, N): one global exact linear solve of the
-    arrow commutation equations."""
+    """Deterministic basis of Hom(M, N).  Between thin modules: one morphism
+    per surviving component (_thin_hom_components).  Otherwise: one global
+    exact linear solve of the arrow commutation equations."""
     if m.algebra is not n.algebra:
         raise ShapeError("Hom across different algebras")
+    if m.is_thin() and n.is_thin():
+        return [
+            Morphism(m, n, {v: Matrix([[c]]) for v, c in comp.items()}, check=False)
+            for comp in _thin_hom_components(m, n)
+        ]
     algebra = m.algebra
     vertices = algebra.quiver.vertices
     offsets: dict[Vertex, int] = {}
@@ -576,39 +638,19 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
 def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morphism]:
     """An explicit isomorphism M -> N of thin modules, or None; exact, no search.
 
-    The witness is a nonzero scalar c_v per supported vertex, propagated
-    breadth-first from c = 1 along the arrows nonzero in both modules by
-    c_dst = c_src·N_a / M_a.  Its commute check rejects mismatched zero
-    patterns and inconsistent cycles.  Equal dimension vectors that are not
-    thin raise UnsupportedInput."""
+    A morphism of thin modules is an isomorphism exactly when its scalar is
+    nonzero at every supported vertex.  The sum of the thin Hom basis
+    (_thin_hom_components) is one exactly when its components cover the
+    support, and then it is the witness.  Equal dimension vectors that are
+    not thin raise UnsupportedInput."""
     if m.dims != n.dims:
         return None
     if not m.is_thin():
         raise UnsupportedInput("isomorphism test needs thin modules")
-    supp = [v for v in m.algebra.quiver.vertices if m.dims[v]]
-    ratios: dict[Vertex, list[tuple[Vertex, Fraction]]] = {v: [] for v in supp}
-    for arrow in m.algebra.quiver.arrows:
-        src, dst = arrow
-        if m.dims[src] and m.dims[dst]:
-            m_a, n_a = m.maps[arrow].rows[0][0], n.maps[arrow].rows[0][0]
-            if m_a and n_a:
-                ratios[src].append((dst, n_a / m_a))
-                ratios[dst].append((src, m_a / n_a))
-    scale: dict[Vertex, Fraction] = {}
-    for root in supp:
-        if root in scale:
-            continue
-        scale[root] = Fraction(1)
-        queue = [root]
-        for v in queue:
-            for w, ratio in ratios[v]:
-                if w not in scale:
-                    scale[w] = scale[v] * ratio
-                    queue.append(w)
-    try:
-        return Morphism(m, n, {v: Matrix([[c]]) for v, c in scale.items()})
-    except ShapeError:
+    scale = {v: c for comp in _thin_hom_components(m, n) for v, c in comp.items()}
+    if len(scale) != len(m.support()):
         return None
+    return Morphism(m, n, {v: Matrix([[c]]) for v, c in scale.items()})
 
 
 def is_isomorphic_reps(m: Representation, n: Representation) -> bool:

@@ -40,6 +40,60 @@ def det(m: Matrix) -> Fraction:
     return out
 
 
+def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
+    """Deterministic basis of Hom(M, N): one global exact linear solve of the
+    arrow commutation equations."""
+    if m.algebra is not n.algebra:
+        raise ShapeError("Hom across different algebras")
+    algebra = m.algebra
+    vertices = algebra.quiver.vertices
+    offsets: dict[Vertex, int] = {}
+    total = 0
+    for v in vertices:
+        offsets[v] = total
+        total += n.dims[v] * m.dims[v]
+    if total == 0:
+        return []
+
+    def var(v: Vertex, i: int, j: int) -> int:
+        return offsets[v] + i * m.dims[v] + j
+
+    zero_row = [Fraction(0)] * total
+    rows: list[list[Fraction]] = []
+    for arrow in algebra.quiver.arrows:
+        src, dst = arrow
+        phi = m.maps[arrow]
+        psi = n.maps[arrow]
+        for i in range(n.dims[dst]):
+            for j in range(m.dims[src]):
+                row = zero_row.copy()
+                for k in range(m.dims[dst]):
+                    row[var(dst, i, k)] += phi.rows[k][j]
+                for k in range(n.dims[src]):
+                    row[var(src, k, j)] -= psi.rows[i][k]
+                rows.append(row)
+
+    basis = []
+    for vec in Matrix(rows, ncols=total).kernel_basis():
+        blocks = {}
+        for v in vertices:
+            rows_v = []
+            for i in range(n.dims[v]):
+                start = offsets[v] + i * m.dims[v]
+                rows_v.append(vec[start : start + m.dims[v]])
+            blocks[v] = Matrix(rows_v, ncols=m.dims[v])
+        basis.append(Morphism(m, n, blocks, check=False))
+    return basis
+
+
+def then(f: Morphism, g: Morphism) -> Morphism:
+    """f followed by g as the dense product of their blocks at every vertex."""
+    if g.source is not f.target:
+        raise ShapeError("composition through a different module")
+    blocks = {v: g.blocks[v] @ f.blocks[v] for v in f.source.algebra.quiver.vertices}
+    return Morphism(f.source, g.target, blocks, check=False)
+
+
 def path_action(m: Representation, path) -> Matrix:
     """The composed map M_source -> M_target along the path."""
     mat = Matrix.identity(m.dims[path.source])

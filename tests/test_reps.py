@@ -4,6 +4,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivertilt.algebra import (
     BoundAlgebra,
@@ -517,6 +518,102 @@ def test_pd_le1_matches_reference(a1, a2):
         pres = reps.minimal_projective_presentation(m)
         syzygy_projective = reference.find_isomorphism_reps(pres.syzygy, pres.p1) is not None
         assert reps.projective_dimension_le1(m) == syzygy_projective
+
+
+# -- thin fast paths against the dense oracles --------------------------------------------
+
+THIN_FAMILY = [(2, 2), (3, 3), (3, 4), (4, 5)]
+DIFFERENTIAL = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def thin_family():
+    return {params: family_instance(*params) for params in THIN_FAMILY}
+
+
+def random_scalar(rng):
+    return Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+
+
+def rescaled_arrows(m, rng):
+    """M with every nonzero arrow scalar multiplied by a random nonzero Fraction."""
+    maps = {
+        a: mat if mat.is_zero() else Matrix([[mat.rows[0][0] * random_scalar(rng)]])
+        for a, mat in m.maps.items()
+    }
+    return reps.Representation(m.algebra, dict(m.dims), maps)
+
+
+def assert_hom_matches_reference(m, n):
+    """The fast Hom basis against the elimination oracle: same dimension, same
+    span, and every fast morphism commutes."""
+    fast = reps.hom_basis(m, n)
+    dense = reference.hom_basis(m, n)
+    assert len(fast) == len(dense)
+    for f in fast:
+        f.check_commutes()
+    if fast:
+        assert Matrix([f.flatten() for f in fast]).rank() == len(fast)
+        assert Matrix([f.flatten() for f in fast + dense]).rank() == len(fast)
+    return fast
+
+
+def assert_then_matches_reference(fs, gs):
+    for f in fs:
+        for g in gs:
+            assert f.then(g).blocks == reference.then(f, g).blocks
+
+
+@DIFFERENTIAL
+@given(st.sampled_from(THIN_FAMILY), st.integers(0, 2**32))
+def test_thin_hom_and_composition_match_reference(thin_family, params, seed):
+    inst = thin_family[params]
+    rng = random.Random(seed)
+    m, n, p = (rescaled_arrows(properties.random_thin_module(rng, inst), rng) for _ in range(3))
+    hom_mn = assert_hom_matches_reference(m, n)
+    hom_np = assert_hom_matches_reference(n, p)
+    assert_hom_matches_reference(m, m)
+    assert_then_matches_reference(hom_mn, hom_np)
+    assert_then_matches_reference(hom_mn, reps.hom_basis(n, n))
+
+
+@pytest.mark.parametrize("a1,a2", THIN_FAMILY)
+def test_thin_hom_matches_reference_on_family_modules(thin_family, a1, a2):
+    inst = thin_family[(a1, a2)]
+    summands = [inst.module_M(x) for x in inst.vertices]
+    syzygies = [reps.minimal_projective_presentation(m).syzygy for m in summands]
+    modules = summands + [reps.tau(m) for m in summands] + syzygies
+    assert all(m.is_thin() for m in modules)
+    for m in modules:
+        for n in modules:
+            assert_hom_matches_reference(m, n)
+    verts = inst.vertices
+    homs = {
+        (x, y): reps.hom_basis(inst.module_M(x), inst.module_M(y)) for x in verts for y in verts
+    }
+    for x in verts:
+        for y in verts:
+            for z in verts:
+                assert_then_matches_reference(homs[(x, y)], homs[(y, z)])
+
+
+def test_thin_hom_drops_a_component_with_inconsistent_cycle():
+    """On the square 1 -> 2 -> 4, 1 -> 3 -> 4 without relations, N differs from
+    M by the scalar 2 on 3 -> 4: the ratios around the square disagree."""
+    square = BoundAlgebra(
+        Quiver((r(1), r(2), r(3), r(4)), ((r(1), r(2)), (r(2), r(4)), (r(1), r(3)), (r(3), r(4)))),
+        [],
+        name="square",
+    )
+    m = reps.thin_from_support(square, [r(1), r(2), r(3), r(4)])
+    maps = dict(m.maps)
+    maps[(r(3), r(4))] = Matrix([[2]])
+    n = reps.Representation(square, dict(m.dims), maps)
+    assert reps.hom_basis(m, n) == [] == reference.hom_basis(m, n)
+    maps[(r(1), r(3))] = Matrix([[Fraction(1, 2)]])  # the square commutes again
+    gauged = reps.Representation(square, dict(m.dims), maps)
+    (f,) = assert_hom_matches_reference(m, gauged)
+    assert f.blocks[r(3)] == Matrix([[Fraction(1, 2)]]) and f.blocks[r(4)] == Matrix([[1]])
 
 
 # -- dump ----------------------------------------------------------------------------------
