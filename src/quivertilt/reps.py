@@ -248,21 +248,20 @@ class Morphism:
         return all(b.is_zero() for b in self.blocks.values())
 
     def then(self, other: "Morphism") -> "Morphism":
-        """self followed by other (other ∘ self).  Between thin modules it is
-        the product of the two scalars at each vertex where all three modules
-        are supported, and zero elsewhere."""
+        """self followed by other (other ∘ self).  Only the vertices where all
+        three modules are supported get a nonzero block; between thin modules
+        it is the product of two scalars, with no Matrix product."""
         if other.source is not self.target:
             raise ShapeError("composition through a different module")
         m, n, p = self.source, self.target, other.target
-        vertices = m.algebra.quiver.vertices
+        common = [v for v in m.algebra.quiver.vertices if m.dims[v] and n.dims[v] and p.dims[v]]
         if m.is_thin() and n.is_thin() and p.is_thin():
             blocks = {
                 v: Matrix([[other.blocks[v].rows[0][0] * self.blocks[v].rows[0][0]]])
-                for v in vertices
-                if m.dims[v] and n.dims[v] and p.dims[v]
+                for v in common
             }
         else:
-            blocks = {v: other.blocks[v] @ self.blocks[v] for v in vertices}
+            blocks = {v: other.blocks[v] @ self.blocks[v] for v in common}
         return Morphism(m, p, blocks, check=False)
 
     def flatten(self) -> tuple[Fraction, ...]:
