@@ -177,17 +177,16 @@ def cmd_show(args) -> int:
             b0 = cluster.pattern_matrix(inst.quiver)
             variables = [cluster.seed_variable(seed, k, b0).to_sorted_list() for k in range(seed.n)]
         skipped = args.variables and seed.f is None
+        data = seed.to_json()
         if args.json:
-            data = seed.to_json()
             if variables is not None:
                 data["variables"] = variables
             if skipped:
                 data["variables_skipped"] = "n > laurent cap"
             print(json.dumps(data, indent=2))
         else:
-            _print_matrix("B", seed.b, seed.labels)
-            _print_matrix("C", seed.c, seed.labels)
-            _print_matrix("G", seed.g, seed.labels)
+            for name in ("B", "C", "G"):
+                _print_matrix(name, data[name], seed.labels)
             for label, var in zip(seed.labels, variables or []):
                 print(f"x[{label.label}] = {var}")
             if skipped:

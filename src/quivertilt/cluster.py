@@ -25,6 +25,8 @@ from .quiver import (
     Quiver,
     TypeLabel,
     Vertex,
+    branch_s,
+    branch_t,
     classify_acyclic_type,
     has_directed_cycle,
     mutate_matrix,
@@ -45,21 +47,25 @@ IntRows = tuple[tuple[int, ...], ...]
 class Seed:
     """Labeled seed with principal coefficients.
 
-    b is the current exchange matrix in the quiver convention; c and g are the
-    C- and G-matrices of the pattern; f the F-polynomials (None when integer
-    tracking only); history the mutation word applied so far (leftmost first).
+    b is the current exchange matrix in the quiver convention, and its vertices
+    are the seed's labels; c[k] and g[k] are column k of the C- and G-matrices
+    of the pattern; f the F-polynomials (None when integer tracking only);
+    history the mutation word applied so far (leftmost first).
     """
 
-    labels: tuple[Vertex, ...]
-    b: IntRows
+    b: ExchangeMatrix
     c: IntRows
     g: IntRows
     f: Optional[tuple[IntPoly, ...]]
     history: tuple[Vertex, ...] = ()
 
     @property
+    def labels(self) -> tuple[Vertex, ...]:
+        return self.b.vertices
+
+    @property
     def n(self) -> int:
-        return len(self.labels)
+        return self.b.n
 
     def index(self, k: Vertex | int) -> int:
         if isinstance(k, int):
@@ -71,31 +77,17 @@ class Seed:
         except ValueError:
             raise UnsupportedInput(f"{k} is not a seed label") from None
 
-    def exchange_matrix(self) -> ExchangeMatrix:
-        return ExchangeMatrix(self.b, self.labels)
-
-    def g_column(self, k: int) -> tuple[int, ...]:
-        return tuple(self.g[i][k] for i in range(self.n))
-
-    def c_column(self, k: int) -> tuple[int, ...]:
-        return tuple(self.c[i][k] for i in range(self.n))
-
     def same_data(self, other: "Seed") -> bool:
         """Equality of everything except the mutation history."""
-        return (
-            self.labels == other.labels
-            and self.b == other.b
-            and self.c == other.c
-            and self.g == other.g
-            and self.f == other.f
-        )
+        return self.b == other.b and self.c == other.c and self.g == other.g and self.f == other.f
 
     def to_json(self) -> dict:
+        """B, C and G by rows, as the CLI prints them."""
         data = {
             "labels": [v.label for v in self.labels],
-            "B": [list(row) for row in self.b],
-            "C": [list(row) for row in self.c],
-            "G": [list(row) for row in self.g],
+            "B": [list(row) for row in self.b.entries],
+            "C": [list(row) for row in zip(*self.c)],
+            "G": [list(row) for row in zip(*self.g)],
             "history": [v.label for v in self.history],
         }
         if self.f is not None:
@@ -104,11 +96,10 @@ class Seed:
 
 
 def initial_seed(quiver: Quiver, track_f: bool = True) -> Seed:
-    b = to_exchange_matrix(quiver)
     n = quiver.n
     f = tuple(IntPoly.one(n) for _ in range(n)) if track_f else None
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return Seed(quiver.vertices, b.entries, identity, identity, f)
+    return Seed(to_exchange_matrix(quiver), identity, identity, f)
 
 
 def mutate_seed(seed: Seed, k: Vertex | int) -> Seed:
@@ -120,9 +111,9 @@ def mutate_seed(seed: Seed, k: Vertex | int) -> Seed:
     kk = seed.index(k)
     n = seed.n
     # column k of the pattern matrix; its row k is the negated column, as b is skew
-    bk = [SEED_B_SIGN * row[kk] for row in seed.b]
+    bk = [SEED_B_SIGN * row[kk] for row in seed.b.entries]
 
-    col = [row[kk] for row in seed.c]
+    col = seed.c[kk]
     has_pos = any(x > 0 for x in col)
     has_neg = any(x < 0 for x in col)
     if has_pos and has_neg:
@@ -144,20 +135,20 @@ def mutate_seed(seed: Seed, k: Vertex | int) -> Seed:
         f_k = (pos + neg).exact_div(seed.f[kk])
         new_f = seed.f[:kk] + (f_k,) + seed.f[kk + 1 :]
 
-    # w_j = [-eps*b_jk]_+ = [eps*b_kj]_+: G column k becomes -g_k + sum_j w_j g_j,
-    # and C column j != k gains w_j c_k while column k flips sign
+    # w_j = [-eps*b_jk]_+ = [eps*b_kj]_+, and w_k = 0: G column k becomes
+    # -g_k + sum_j w_j g_j, and C column j != k gains w_j c_k while column k
+    # flips sign
     w = [max(0, -eps * b_jk) for b_jk in bk]
-    new_g = tuple(
-        tuple(sum(w_j * y for w_j, y in zip(w, row)) - x if j == kk else x for j, x in enumerate(row))
-        for row in seed.g
-    )
-    new_c = tuple(
-        tuple(-x if j == kk else x + w[j] * row[kk] for j, x in enumerate(row))
-        for row in seed.c
-    )
+    g_k = [-x for x in seed.g[kk]]
+    for w_j, g_j in zip(w, seed.g):
+        if w_j:
+            g_k = [x + w_j * y for x, y in zip(g_k, g_j)]
+    new_g = seed.g[:kk] + (tuple(g_k),) + seed.g[kk + 1 :]
+    new_c = [tuple(x + w_j * y for x, y in zip(c_j, col)) if w_j else c_j for w_j, c_j in zip(w, seed.c)]
+    new_c[kk] = tuple(-x for x in col)
 
-    new_b = mutate_matrix(seed.exchange_matrix(), kk).entries
-    return Seed(seed.labels, new_b, new_c, new_g, new_f, seed.history + (seed.labels[kk],))
+    new_b = mutate_matrix(seed.b, kk)
+    return Seed(new_b, tuple(new_c), new_g, new_f, seed.history + (seed.labels[kk],))
 
 
 def apply_word(seed: Seed, word: Sequence[Vertex | int]) -> Seed:
@@ -172,7 +163,7 @@ def seed_variable(seed: Seed, k: int, b0_pattern: IntRows) -> LaurentPoly:
     yhat_j = y_j x^{b0 column j}."""
     if seed.f is None:
         raise UnsupportedInput("seed does not track F-polynomials")
-    g = seed.g_column(k)
+    g = seed.g[k]
     terms: dict[tuple[int, ...], int] = {}
     for mono, coeff in seed.f[k].terms.items():
         x_part = list(g)
@@ -219,21 +210,13 @@ def build_mu(a1: int, a2: int) -> MutationWord:
     """
     if a1 < 1 or a2 < 2:
         raise UnsupportedParameters(f"need a1 >= 1 and a2 >= 2, got ({a1}, {a2})")
-    from .quiver import s as sv, t as tv
-
-    def vs(i: int) -> Vertex:
-        return r(a2) if i == a1 else sv(i)
-
-    def vt(i: int) -> Vertex:
-        return r(0) if i == 0 else tv(i)
-
     mu_r = tuple(r(i) for i in range(1, a2))
     mu_s: list[Vertex] = []
     for m in range(1, a1 + 1):
-        mu_s.extend(vs(i) for i in range(m, 0, -1))
+        mu_s.extend(branch_s(a1, a2, i) for i in range(m, 0, -1))
     mu_t: list[Vertex] = []
     for m in range(1, a1 + 1):
-        mu_t.extend(vt(i) for i in range(a1 - m, a1))
+        mu_t.extend(branch_t(a1, i) for i in range(a1 - m, a1))
     return MutationWord(a1, a2, mu_r, tuple(mu_s), tuple(mu_t))
 
 
@@ -397,7 +380,7 @@ def verify_order_two(replay: MuReplay) -> OrderTwoResult:
     n = seed.n
     perm: dict[int, int] = {}
     for k in range(n):
-        col = seed.c_column(k)
+        col = seed.c[k]
         ones = [i for i, x in enumerate(col) if x == 1]
         if len(ones) != 1 or any(x not in (0, 1) for x in col):
             return OrderTwoResult(False, None)
@@ -405,11 +388,11 @@ def verify_order_two(replay: MuReplay) -> OrderTwoResult:
     if sorted(perm.values()) != list(range(n)):
         return OrderTwoResult(False, None)
     for k in range(n):
-        if seed.g_column(k) != tuple(1 if i == perm[k] else 0 for i in range(n)):
+        if seed.g[k] != tuple(1 if i == perm[k] else 0 for i in range(n)):
             return OrderTwoResult(False, None)
     for i in range(n):
         for j in range(n):
-            if seed.b[i][j] != b0[perm[i]][perm[j]]:
+            if seed.b.entries[i][j] != b0[perm[i]][perm[j]]:
                 return OrderTwoResult(False, None)
     if seed.f is not None and any(not p.is_one() for p in seed.f):
         return OrderTwoResult(False, None)
@@ -438,7 +421,7 @@ def verify_T_maps_to_shift(instance: FamilyInstance, replay: MuReplay) -> ShiftR
     seed = replay.mu
 
     expected_g = {x: cc_exponent(instance.module_M(x)) for x in quiver.vertices}
-    got_g = [seed.g_column(k) for k in range(n)]
+    got_g = list(seed.g)
     g_ok = sorted(got_g) == sorted(expected_g.values())
 
     if seed.f is None:
@@ -454,7 +437,7 @@ def verify_T_maps_to_shift(instance: FamilyInstance, replay: MuReplay) -> ShiftR
         for k in range(n):
             if k in used:
                 continue
-            if (seed.g_column(k), seed.f[k]) == pair:
+            if (seed.g[k], seed.f[k]) == pair:
                 found = k
                 break
         if found is None:

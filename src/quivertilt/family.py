@@ -1,8 +1,9 @@
 """The canonical module family over A[a1,a2]: the thin summands M(x) of T,
 their defining exact sequences, and the closed-form oracles for tau and Hom.
 
-Index conventions s_{a1} := r_{a2} and t_0 := r_0 are adopted globally, so
-degenerate branch cases (a1 = 1) reuse the cycle vertices.
+Index conventions s_{a1} := r_{a2} and t_0 := r_0 (quiver.branch_s and
+branch_t) are adopted globally, so degenerate branch cases (a1 = 1) reuse the
+cycle vertices.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import BoundAlgebra, Path, PathMatrix, build_algebra, combo_of
 from .errors import VertexError
-from .quiver import Quiver, Vertex, r, s, t
+from .quiver import Quiver, Vertex, branch_s, branch_t, r, s, t
 from . import reps
 from .reps import Representation
 
@@ -36,22 +37,6 @@ class FamilyInstance:
     @property
     def vertices(self) -> tuple[Vertex, ...]:
         return self.quiver.vertices
-
-    def vertex_s(self, i: int) -> Vertex:
-        """s_i with the convention s_{a1} = r_{a2}."""
-        if i == self.a1:
-            return r(self.a2)
-        if 1 <= i < self.a1:
-            return s(i)
-        raise VertexError(f"s_{i} out of range for a1={self.a1}")
-
-    def vertex_t(self, i: int) -> Vertex:
-        """t_i with the convention t_0 = r_0."""
-        if i == 0:
-            return r(0)
-        if 1 <= i < self.a1:
-            return t(i)
-        raise VertexError(f"t_{i} out of range for a1={self.a1}")
 
     # -- canonical supports --------------------------------------------------
 
@@ -95,8 +80,8 @@ class FamilyInstance:
 
     def _module_s_from_sequence(self, i: int) -> Representation:
         """M(s_i) = coker of g: P(t_i) -> P(r_0), g the path r_0 -> t_1 -> ... -> t_i."""
-        path = self._branch_path(r(0), [self.vertex_t(j) for j in range(1, i + 1)])
-        pm = PathMatrix((r(0),), (self.vertex_t(i),), ((combo_of(path),),))
+        path = self._branch_path(r(0), [branch_t(self.a1, j) for j in range(1, i + 1)])
+        pm = PathMatrix((r(0),), (branch_t(self.a1, i),), ((combo_of(path),),))
         g = reps.realize_path_matrix(self.algebra, pm)
         cok, _ = reps.cokernel(g)
         return cok
@@ -104,7 +89,7 @@ class FamilyInstance:
     def _module_t_from_sequence(self, i: int) -> Representation:
         """M(t_i) = ker of f: I(r_{a2}) -> I(s_i), f the path s_i -> ... -> r_{a2}."""
         chain = [s(j) for j in range(i + 1, self.a1)] + [r(self.a2)]
-        path = self._branch_path(self.vertex_s(i), chain)
+        path = self._branch_path(branch_s(self.a1, self.a2, i), chain)
         op = self.algebra.opposite_algebra()
         pm = PathMatrix((path.reversed().source,), (path.reversed().target,), ((combo_of(path.reversed()),),))
         # P^op(s_i) -> P^op(r_a2); its dual is I(r_a2) -> I(s_i)
@@ -178,18 +163,18 @@ class FamilyInstance:
         general; every vertex when a1 = 1."""
         if self.a1 == 1:
             return frozenset(self.vertices)
-        return frozenset({r(self.a2), r(self.a2 - 1), self.vertex_t(self.a1 - 1)})
+        return frozenset({r(self.a2), r(self.a2 - 1), branch_t(self.a1, self.a1 - 1)})
 
     def identification_table(self) -> list[tuple[str, Vertex, str, Vertex]]:
         """The six projective/injective identifications of the summands."""
         a1, a2 = self.a1, self.a2
         return [
-            ("M", r(a2 - 1), "P", self.vertex_s(1) if a1 > 1 else r(a2)),
+            ("M", r(a2 - 1), "P", branch_s(a1, a2, 1)),
             ("M", r(a2), "P", r(0)),
-            ("M", self.vertex_t(a1 - 1), "P", r(1)),
+            ("M", branch_t(a1, a1 - 1), "P", r(1)),
             ("M", r(0), "I", r(a2)),
-            ("M", r(1), "I", self.vertex_t(a1 - 1)),
-            ("M", self.vertex_s(1) if a1 > 1 else r(a2), "I", r(a2 - 1)),
+            ("M", r(1), "I", branch_t(a1, a1 - 1)),
+            ("M", branch_s(a1, a2, 1), "I", r(a2 - 1)),
         ]
 
     def opposite_isomorphism(self) -> dict[Vertex, Vertex]:

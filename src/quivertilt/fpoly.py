@@ -151,12 +151,6 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return LaurentPoly(self.nvars, out)
-
     def to_sorted_list(self) -> list[tuple[list[int], int]]:
         return [[list(m), c] for m, c in sorted(self.terms.items())]
 

@@ -111,7 +111,7 @@ def run_property_suite(cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED) -> 
         variable = cluster.seed_variable(s1, slot, cluster.pattern_matrix(inst.quiver))
         y_free = [mono for mono in variable.terms if all(e == 0 for e in mono[s1.n :])]
         bump("tropical_sanity")
-        if len(y_free) != 1 or y_free[0][: s1.n] != s1.g_column(slot):
+        if len(y_free) != 1 or y_free[0][: s1.n] != s1.g[slot]:
             fail("tropical_sanity", f"{inst.algebra.name} word={word2} slot={slot}")
 
         # AR formula

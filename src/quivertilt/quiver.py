@@ -47,6 +47,24 @@ def t(i: int) -> Vertex:
     return Vertex("t", i)
 
 
+def branch_s(a1: int, a2: int, i: int) -> Vertex:
+    """s_i of Q[a1,a2] with the convention s_{a1} = r_{a2}."""
+    if i == a1:
+        return r(a2)
+    if 1 <= i < a1:
+        return s(i)
+    raise VertexError(f"s_{i} out of range for a1={a1}")
+
+
+def branch_t(a1: int, i: int) -> Vertex:
+    """t_i of Q[a1,a2] with the convention t_0 = r_0."""
+    if i == 0:
+        return r(0)
+    if 1 <= i < a1:
+        return t(i)
+    raise VertexError(f"t_{i} out of range for a1={a1}")
+
+
 def parse_vertex(label: str) -> Vertex:
     role = label[:1]
     try:

@@ -487,11 +487,9 @@ class Presentation:
 
     p0_vertices: tuple[Vertex, ...]
     p1_vertices: tuple[Vertex, ...]
-    p0: Representation
     p1: Representation
     path_matrix: PathMatrix
     syzygy: Representation
-    syzygy_inclusion: Morphism
 
 
 def yoneda_map(
@@ -538,7 +536,7 @@ def minimal_projective_presentation(m: Representation) -> Presentation:
     if m._presentation is not None:
         return m._presentation
     algebra = m.algebra
-    p0, cover, verts0, offsets0 = projective_cover(m)
+    _, cover, verts0, offsets0 = projective_cover(m)
     syz, incl = kernel(cover)
     p1, cover1, verts1, offsets1 = projective_cover(syz)
     diff = cover1.then(incl)
@@ -554,7 +552,7 @@ def minimal_projective_presentation(m: Representation) -> Presentation:
                     combo.append((coeff, pth))
             entries[i][j] = tuple(combo)
     pm = PathMatrix(verts0, verts1, tuple(tuple(row) for row in entries))
-    m._presentation = Presentation(verts0, verts1, p0, p1, pm, syz, incl)
+    m._presentation = Presentation(verts0, verts1, p1, pm, syz)
     return m._presentation
 
 

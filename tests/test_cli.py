@@ -176,6 +176,81 @@ def test_show_seed_word(capsys):
     assert data["C"] == [[1 if i == j else 0 for j in range(5)] for i in range(5)]
 
 
+# `show seed` at (2,3): B, C and G by rows.  C and G are not symmetric here, so
+# printing a column of either as a row changes the output.
+SEED_23_TEXT = {
+    "r1": (
+        "B (order: r0, r1, r2, r3, s1, t1)\n"
+        "  [ 0 -1  1 -1  0  1]\n"
+        "  [ 1  0 -1  0  0  0]\n"
+        "  [-1  1  0  1  0  0]\n"
+        "  [ 1  0 -1  0 -1  0]\n"
+        "  [ 0  0  0  1  0  0]\n"
+        "  [-1  0  0  0  0  0]\n"
+        "C (order: r0, r1, r2, r3, s1, t1)\n"
+        "  [ 1  0  0  0  0  0]\n"
+        "  [ 1 -1  0  0  0  0]\n"
+        "  [ 0  0  1  0  0  0]\n"
+        "  [ 0  0  0  1  0  0]\n"
+        "  [ 0  0  0  0  1  0]\n"
+        "  [ 0  0  0  0  0  1]\n"
+        "G (order: r0, r1, r2, r3, s1, t1)\n"
+        "  [ 1  1  0  0  0  0]\n"
+        "  [ 0 -1  0  0  0  0]\n"
+        "  [ 0  0  1  0  0  0]\n"
+        "  [ 0  0  0  1  0  0]\n"
+        "  [ 0  0  0  0  1  0]\n"
+        "  [ 0  0  0  0  0  1]\n"
+    ),
+    "mu_r": (
+        "B (order: r0, r1, r2, r3, s1, t1)\n"
+        "  [ 0  0 -1  0  0  1]\n"
+        "  [ 0  0  1  0  0  0]\n"
+        "  [ 1 -1  0 -1  0  0]\n"
+        "  [ 0  0  1  0 -1  0]\n"
+        "  [ 0  0  0  1  0  0]\n"
+        "  [-1  0  0  0  0  0]\n"
+        "C (order: r0, r1, r2, r3, s1, t1)\n"
+        "  [ 1  0  0  0  0  0]\n"
+        "  [ 1 -1  0  0  0  0]\n"
+        "  [ 1  0 -1  0  0  0]\n"
+        "  [ 0  0  0  1  0  0]\n"
+        "  [ 0  0  0  0  1  0]\n"
+        "  [ 0  0  0  0  0  1]\n"
+        "G (order: r0, r1, r2, r3, s1, t1)\n"
+        "  [ 1  1  1  0  0  0]\n"
+        "  [ 0 -1  0  0  0  0]\n"
+        "  [ 0  0 -1  0  0  0]\n"
+        "  [ 0  0  0  1  0  0]\n"
+        "  [ 0  0  0  0  1  0]\n"
+        "  [ 0  0  0  0  0  1]\n"
+    ),
+}
+
+def _matrices(text):
+    """The B, C and G rows of a `show seed` text output."""
+    out = {}
+    for line in text.splitlines():
+        if line.startswith("  ["):
+            out[name].append([int(x) for x in line.strip(" []").split()])
+        else:
+            name = line[0]
+            out[name] = []
+    return out
+
+
+@pytest.mark.parametrize("word", ["r1", "mu_r"])
+def test_show_seed_prints_b_c_g_by_rows(capsys, word):
+    argv = ["show", "seed", "--a1", "2", "--a2", "3", "--word", word]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == SEED_23_TEXT[word]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert {k: data[k] for k in "BCG"} == _matrices(SEED_23_TEXT[word])
+
+
 def test_show_seed_variables(capsys):
     code, out, _ = run(
         capsys,

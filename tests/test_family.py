@@ -4,7 +4,7 @@ import pytest
 
 from quivertilt.errors import UnsupportedParameters, VertexError
 from quivertilt.family import family_instance, radical_layers
-from quivertilt.quiver import r, s, t
+from quivertilt.quiver import branch_s, branch_t, r, s, t
 from quivertilt import reps
 
 from reference import path_action
@@ -31,10 +31,10 @@ def test_summand_count():
 
 
 def test_edge_conventions(f22):
-    assert f22.vertex_s(2) == r(2)
-    assert f22.vertex_t(0) == r(0)
+    assert branch_s(f22.a1, f22.a2, 2) == r(2)
+    assert branch_t(f22.a1, 0) == r(0)
     with pytest.raises(VertexError):
-        f22.vertex_s(5)
+        branch_s(f22.a1, f22.a2, 5)
 
 
 def test_golden_supports(f22):

@@ -16,7 +16,7 @@ from quivertilt.algebra import (
 from quivertilt.errors import RelationViolation, ShapeError, UnsupportedInput
 from quivertilt.family import family_instance
 from quivertilt.linalg import Matrix
-from quivertilt.quiver import Quiver, r, s, t
+from quivertilt.quiver import Quiver, branch_s, branch_t, r, s, t
 from quivertilt.tilting import verify_tilting
 from quivertilt import properties, report, reps
 
@@ -207,11 +207,12 @@ def ext1_reference(m, n):
     by rank: the reference for the dimension count in reps.ext1_dim."""
     if m.is_zero() or n.is_zero():
         return 0
-    pres = reps.minimal_projective_presentation(m)
-    if pres.syzygy.is_zero():
+    p0, cover, _, _ = reps.projective_cover(m)
+    syzygy, inclusion = reps.kernel(cover)
+    if syzygy.is_zero():
         return 0
-    from_k = reps.hom_basis(pres.syzygy, n)
-    restricted = [pres.syzygy_inclusion.then(h).flatten() for h in reps.hom_basis(pres.p0, n)]
+    from_k = reps.hom_basis(syzygy, n)
+    restricted = [inclusion.then(h).flatten() for h in reps.hom_basis(p0, n)]
     restricted = [v for v in restricted if any(x != 0 for x in v)]
     if not restricted:
         return len(from_k)
@@ -279,13 +280,13 @@ def test_exact_sequence_modules_match_reference(a1, a2):
     inst = family_instance(a1, a2)
     op = inst.algebra.opposite_algebra()
     for i in range(1, a1):
-        tail = inst._branch_path(r(0), [inst.vertex_t(j) for j in range(1, i + 1)])
+        tail = inst._branch_path(r(0), [branch_t(a1, j) for j in range(1, i + 1)])
         pm = PathMatrix((r(0),), (tail.target,), ((combo_of(tail),),))
         ref_cok, _ = reference.cokernel(reference.realize_path_matrix(inst.algebra, pm))
         assert inst._module_s_from_sequence(i) == ref_cok
 
         chain = [s(j) for j in range(i + 1, a1)] + [r(a2)]
-        head = inst._branch_path(inst.vertex_s(i), chain).reversed()
+        head = inst._branch_path(branch_s(a1, a2, i), chain).reversed()
         pm_op = PathMatrix((head.source,), (head.target,), ((combo_of(head),),))
         f = reference.transpose_morphism(reference.realize_path_matrix(op, pm_op))
         assert_same_morphism(reps.dual_morphism(reps.realize_path_matrix(op, pm_op)), f)
@@ -467,8 +468,8 @@ def family_pairs(inst):
     for x in inst.vertices:
         yield reps.tau(inst.module_M(x)), inst.expected_tau(x)
     for i in range(1, inst.a1):
-        yield inst.module_M(inst.vertex_s(i)), inst._module_s_from_sequence(i)
-        yield inst.module_M(inst.vertex_t(i)), inst._module_t_from_sequence(i)
+        yield inst.module_M(branch_s(inst.a1, inst.a2, i)), inst._module_s_from_sequence(i)
+        yield inst.module_M(branch_t(inst.a1, i)), inst._module_t_from_sequence(i)
     for (_, x, kind, y) in inst.identification_table():
         build = reps.projective if kind == "P" else reps.injective
         yield inst.module_M(x), build(inst.algebra, y)
