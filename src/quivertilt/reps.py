@@ -280,7 +280,7 @@ class Morphism:
 # -- Hom spaces ---------------------------------------------------------------
 
 
-def _thin_hom_components(m: Representation, n: Representation) -> list[dict[Vertex, Fraction]]:
+def thin_hom_components(m: Representation, n: Representation) -> list[dict[Vertex, Fraction]]:
     """Hom(M, N) for thin M and N, one scalar c_v per vertex v of
     supp M ∩ supp N, as one dict {v: c_v} per basis morphism.
 
@@ -329,14 +329,14 @@ def _thin_hom_components(m: Representation, n: Representation) -> list[dict[Vert
 
 def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
     """Deterministic basis of Hom(M, N).  Between thin modules: one morphism
-    per surviving component (_thin_hom_components).  Otherwise: one global
+    per surviving component (thin_hom_components).  Otherwise: one global
     exact linear solve of the arrow commutation equations."""
     if m.algebra is not n.algebra:
         raise ShapeError("Hom across different algebras")
     if m.is_thin() and n.is_thin():
         return [
             Morphism(m, n, {v: Matrix([[c]]) for v, c in comp.items()}, check=False)
-            for comp in _thin_hom_components(m, n)
+            for comp in thin_hom_components(m, n)
         ]
     algebra = m.algebra
     vertices = algebra.quiver.vertices
@@ -637,14 +637,14 @@ def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morp
 
     A morphism of thin modules is an isomorphism exactly when its scalar is
     nonzero at every supported vertex.  The sum of the thin Hom basis
-    (_thin_hom_components) is one exactly when its components cover the
+    (thin_hom_components) is one exactly when its components cover the
     support, and then it is the witness.  Equal dimension vectors that are
     not thin raise UnsupportedInput."""
     if m.dims != n.dims:
         return None
     if not m.is_thin():
         raise UnsupportedInput("isomorphism test needs thin modules")
-    scale = {v: c for comp in _thin_hom_components(m, n) for v, c in comp.items()}
+    scale = {v: c for comp in thin_hom_components(m, n) for v, c in comp.items()}
     if len(scale) != len(m.support()):
         return None
     return Morphism(m, n, {v: Matrix([[c]]) for v, c in scale.items()})

@@ -1,8 +1,17 @@
 """Tilting / tau-tilting verification and the Gabriel quiver of End(T).
 
 The verdicts are assembled purely from the representation engine: Ext and
-Hom-tau tables entry by entry, projective dimension certificates, rad/rad^2
-arrow counts, and explicit vertex maps certifying End(T) ~= Q^op ~= Q.
+Hom-tau tables entry by entry, projective dimension certificates, the quiver
+and relations of End(T), and explicit vertex maps certifying
+End(T) ~= Q^op ~= Q.
+
+End(T) is read off the supports of the thin Hom bases between summands
+(reps.thin_hom_components), with no products of morphisms and no rank.  This
+is exact: every Hom(M(x), M(y)) has dimension 0 or 1, as the hom-table check
+certifies, and a thin basis morphism has nonzero scalars on all of its
+support, so a composite is nonzero exactly when all its supports meet.  An
+arrow x -> y (dim rad/rad^2 = 1) is then a nonzero Hom(x, y) such that no
+z outside {x, y} has meeting supports on x -> z and z -> y.
 """
 
 from __future__ import annotations
@@ -10,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import UnsupportedInput
 from .family import FamilyInstance
-from .linalg import Matrix
 from .quiver import Quiver, Vertex, opposite, r, s, t
 from . import reps
-from .reps import Morphism
 
 
 @dataclass
@@ -57,7 +65,9 @@ class TiltingReport:
 
     @property
     def cluster_tilting_inducing(self) -> bool:
-        # module input never shares a summand with the shifted projectives
+        # (T, 0) is a support tau-tilting pair exactly when T is tau-tilting
+        # (Adachi, Iyama and Reiten 2014), and it induces the cluster-tilting
+        # object T
         return self.tau_tilting
 
     @property
@@ -88,9 +98,11 @@ class TiltingReport:
         return all(self.all_verdicts.values())
 
 
-def _zero_path_property(instance: FamilyInstance, basis_cache) -> bool:
+def _zero_path_property(instance: FamilyInstance, supports) -> bool:
     """Nonzero morphisms from thin summands kill downstream vertices once they
-    vanish somewhere along a nonzero path of the support quiver."""
+    vanish somewhere along a nonzero path of the support quiver: no nonzero
+    arrow u -> v of M(x) has u outside and v inside the support C of a
+    morphism M(x) -> M(y)."""
     for x in instance.vertices:
         m = instance.module_M(x)
         supp = m.support()
@@ -99,108 +111,80 @@ def _zero_path_property(instance: FamilyInstance, basis_cache) -> bool:
             if a[0] in supp and a[1] in supp and not m.maps[a].is_zero()
         ]
         for y in instance.vertices:
-            for f in basis_cache[(x, y)]:
-                for (u, v) in live_arrows:
-                    if f.blocks[u].is_zero() and not f.blocks[v].is_zero():
-                        return False
+            for c in supports[(x, y)]:
+                if any(u not in c and v in c for u, v in live_arrows):
+                    return False
     return True
 
 
-def end_quiver(instance: FamilyInstance, basis_cache) -> tuple[Quiver, bool]:
-    """Gabriel quiver of End(T) from the Hom bases between summands, keyed
-    (x, y): arrows = dim rad/rad^2 between summands, and the verdict that the
-    potential relations hold in End(T).
+def end_quiver(instance: FamilyInstance, supports) -> tuple[Quiver, bool]:
+    """Gabriel quiver of End(T) from the supports of the Hom bases between
+    summands, keyed (x, y), and the verdict that the potential relations hold
+    in End(T).  Raises unless every Hom(M(x), M(y)) has dimension at most 1
+    and every End(M(x)) dimension 1, the cases in which supports are exact.
 
-    The relation check is two-sided: length-a2 compositions along the cycle of
-    End(T) vanish, while length-(a2-1) cycle compositions and the two branch
-    junction compositions are nonzero.
+    An arrow x -> y is a nonzero Hom(x, y), x != y, through which no composite
+    x -> z -> y is nonzero.  The relation check is two-sided: length-a2
+    compositions along the cycle of End(T) vanish, while shorter cycle
+    compositions and the two branch junction compositions are nonzero.
     """
     verts = instance.vertices
-    for x in verts:
-        if len(basis_cache[(x, x)]) != 1:
-            raise AssertionError(f"End(M({x})) is not one-dimensional")
+    for (x, y), comps in supports.items():
+        if len(comps) > 1 or (x == y and not comps):
+            raise AssertionError(f"Hom(M({x}), M({y})) has dimension {len(comps)}")
 
-    def rad(x: Vertex, y: Vertex) -> list[Morphism]:
-        if x == y:
-            return []
-        return basis_cache[(x, y)]
+    def hom(x: Vertex, y: Vertex) -> frozenset[Vertex]:
+        """Support of the morphism M(x) -> M(y); empty when Hom is zero."""
+        return supports[(x, y)][0] if supports[(x, y)] else frozenset()
 
-    arrows = []
-    for x in verts:
-        for y in verts:
-            base = rad(x, y)
-            if not base:
-                continue
-            composites = []
-            for z in verts:
-                if z == x or z == y:
-                    continue
-                for f in rad(x, z):
-                    for g in rad(z, y):
-                        composites.append(f.then(g).flatten())
-            composites = [c for c in composites if any(t != 0 for t in c)]
-            rad2_rank = Matrix(composites).rank() if composites else 0
-            count = len(base) - rad2_rank
-            arrows.extend([(x, y)] * count)
-
-    endq = Quiver(verts, tuple(arrows))
+    arrows = tuple(
+        (x, y)
+        for x in verts
+        for y in verts
+        if x != y
+        and hom(x, y)
+        and not any(hom(x, z) & hom(z, y) for z in verts if z not in (x, y))
+    )
 
     # relations from the potential: walk the End(T) cycle M(r_{i+1}) -> M(r_i)
     a2 = instance.a2
     relations_ok = True
-
-    def cycle_hom(i: int) -> Morphism:
-        src = r((i + 1) % (a2 + 1))
-        dst = r(i % (a2 + 1))
-        basis = basis_cache[(src, dst)]
-        if len(basis) != 1:
-            raise AssertionError("cycle Hom space is not one-dimensional")
-        return basis[0]
-
     for start in range(a2 + 1):
-        comp = cycle_hom(start)
-        for step in range(1, a2 + 1):
-            comp = cycle_hom(start + step).then(comp)
-            length = step + 1
-            if length < a2 and comp.is_zero():
-                relations_ok = False
-            if length == a2:
-                if not comp.is_zero():
-                    relations_ok = False
-                break
+        meet = frozenset(verts)
+        for length in range(1, a2 + 1):
+            meet &= hom(r((start + length) % (a2 + 1)), r((start + length - 1) % (a2 + 1)))
+            relations_ok &= bool(meet) == (length < a2)
 
     if instance.a1 > 1:
         # junction arrows M(r_{a2}) -> M(s_{a1-1}) and M(t_1) -> M(r_0) compose
         # with the cycle arrow M(r_0) -> M(r_{a2}) without vanishing
-        junction1 = basis_cache[(r(a2), s(instance.a1 - 1))]
-        junction2 = basis_cache[(t(1), r(0))]
-        cycle_in = basis_cache[(r(0), r(a2))]
-        if len(junction1) != 1 or len(junction2) != 1 or len(cycle_in) != 1:
-            relations_ok = False
-        else:
-            if cycle_in[0].then(junction1[0]).is_zero():
-                relations_ok = False
-            if junction2[0].then(cycle_in[0]).is_zero():
-                relations_ok = False
+        cycle_in = hom(r(0), r(a2))
+        relations_ok &= bool(cycle_in & hom(r(a2), s(instance.a1 - 1)))
+        relations_ok &= bool(hom(t(1), r(0)) & cycle_in)
 
-    return endq, relations_ok
+    return Quiver(verts, arrows), relations_ok
 
 
 def verify_tilting(instance: FamilyInstance) -> TiltingReport:
     verts = instance.vertices
+    for x in verts:
+        if not instance.module_M(x).is_thin():
+            raise UnsupportedInput(f"M({x}) is not thin")
     taus = {x: reps.tau(instance.module_M(x)) for x in verts}
 
-    basis_cache = {
-        (x, y): reps.hom_basis(instance.module_M(x), instance.module_M(y))
+    supports = {
+        (x, y): [
+            frozenset(c) for c in reps.thin_hom_components(instance.module_M(x), instance.module_M(y))
+        ]
         for x in verts
         for y in verts
     }
 
-    hom_table = [[len(basis_cache[(x, y)]) for y in verts] for x in verts]
+    hom_table = [[len(supports[(x, y)]) for y in verts] for x in verts]
     expected = [[instance.expected_hom_dim(x, y) for y in verts] for x in verts]
     ext_table = [
         [
-            reps.ext1_dim(instance.module_M(x), instance.module_M(y), len(basis_cache[(x, y)]))
+            reps.ext1_dim(instance.module_M(x), instance.module_M(y), len(supports[(x, y)]))
             for y in verts
         ]
         for x in verts
@@ -210,7 +194,7 @@ def verify_tilting(instance: FamilyInstance) -> TiltingReport:
     ]
     pd = {x: reps.projective_dimension_le1(instance.module_M(x)) for x in verts}
 
-    endq, relations_ok = end_quiver(instance, basis_cache)
+    endq, relations_ok = end_quiver(instance, supports)
     # the canonical map x -> M(x) must itself reverse all arrows, and the
     # closed-form map Q^op -> Q must carry the arrows of End(T) onto those of Q
     canonical = sorted(endq.arrows) == sorted(opposite(instance.quiver).arrows)
@@ -220,11 +204,10 @@ def verify_tilting(instance: FamilyInstance) -> TiltingReport:
     iso_q = phi if onto_q else None
 
     identifications = _identifications_hold(instance)
-    zero_path = _zero_path_property(instance, basis_cache)
+    zero_path = _zero_path_property(instance, supports)
 
     # distinct supports certify pairwise non-isomorphy of the thin summands
-    supports = {frozenset(instance.module_M(x).support()) for x in verts}
-    count = len(supports)
+    count = len({instance.module_M(x).support() for x in verts})
 
     return TiltingReport(
         a1=instance.a1,

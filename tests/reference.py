@@ -13,7 +13,7 @@ from quivertilt import cluster, reps
 from quivertilt.errors import ShapeError, UnsupportedInput
 from quivertilt.fpoly import IntPoly, LaurentPoly
 from quivertilt.linalg import Matrix
-from quivertilt.quiver import Quiver, Vertex
+from quivertilt.quiver import Quiver, Vertex, r, s, t
 from quivertilt.reps import Morphism, Representation
 
 
@@ -92,6 +92,88 @@ def then(f: Morphism, g: Morphism) -> Morphism:
         raise ShapeError("composition through a different module")
     blocks = {v: g.blocks[v] @ f.blocks[v] for v in f.source.algebra.quiver.vertices}
     return Morphism(f.source, g.target, blocks, check=False)
+
+
+def end_quiver(instance, basis_cache) -> tuple[Quiver, bool]:
+    """Gabriel quiver of End(T) from the Hom bases between summands, keyed
+    (x, y), and the verdict that the potential relations hold in End(T).
+
+    Arrows x -> y number dim Hom(x, y) minus the rank of the composites
+    x -> z -> y through a third summand (dim rad/rad^2).  Relations: the
+    length-a2 compositions along the cycle of End(T) vanish, the shorter ones
+    and the two branch junction compositions do not."""
+    verts = instance.vertices
+    for x in verts:
+        if len(basis_cache[(x, x)]) != 1:
+            raise AssertionError(f"End(M({x})) is not one-dimensional")
+
+    def rad(x: Vertex, y: Vertex) -> list[Morphism]:
+        return [] if x == y else basis_cache[(x, y)]
+
+    arrows = []
+    for x in verts:
+        for y in verts:
+            base = rad(x, y)
+            if not base:
+                continue
+            composites = [
+                then(f, g).flatten()
+                for z in verts
+                if z not in (x, y)
+                for f in rad(x, z)
+                for g in rad(z, y)
+            ]
+            composites = [c for c in composites if any(e != 0 for e in c)]
+            rad2_rank = Matrix(composites).rank() if composites else 0
+            arrows.extend([(x, y)] * (len(base) - rad2_rank))
+
+    a2 = instance.a2
+    relations_ok = True
+
+    def cycle_hom(i: int) -> Morphism:
+        basis = basis_cache[(r((i + 1) % (a2 + 1)), r(i % (a2 + 1)))]
+        if len(basis) != 1:
+            raise AssertionError("cycle Hom space is not one-dimensional")
+        return basis[0]
+
+    for start in range(a2 + 1):
+        comp = cycle_hom(start)
+        for length in range(2, a2 + 1):
+            comp = then(cycle_hom(start + length - 1), comp)
+            if comp.is_zero() == (length < a2):
+                relations_ok = False
+
+    if instance.a1 > 1:
+        junction1 = basis_cache[(r(a2), s(instance.a1 - 1))]
+        junction2 = basis_cache[(t(1), r(0))]
+        cycle_in = basis_cache[(r(0), r(a2))]
+        if len(junction1) != 1 or len(junction2) != 1 or len(cycle_in) != 1:
+            relations_ok = False
+        elif (
+            then(cycle_in[0], junction1[0]).is_zero()
+            or then(junction2[0], cycle_in[0]).is_zero()
+        ):
+            relations_ok = False
+
+    return Quiver(verts, tuple(arrows)), relations_ok
+
+
+def zero_path_property(instance, basis_cache) -> bool:
+    """No nonzero morphism M(x) -> M(y) vanishes at u and not at v for a
+    nonzero arrow u -> v of M(x)."""
+    for x in instance.vertices:
+        m = instance.module_M(x)
+        supp = m.support()
+        live_arrows = [
+            a for a in instance.quiver.arrows
+            if a[0] in supp and a[1] in supp and not m.maps[a].is_zero()
+        ]
+        for y in instance.vertices:
+            for f in basis_cache[(x, y)]:
+                for (u, v) in live_arrows:
+                    if f.blocks[u].is_zero() and not f.blocks[v].is_zero():
+                        return False
+    return True
 
 
 def path_action(m: Representation, path) -> Matrix:
