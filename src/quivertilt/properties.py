@@ -2,12 +2,20 @@
 
 One fixed RNG seed drives every run; the seed and case count are recorded in
 the verification report so a run is reproducible bit for bit.
+
+Each distinct random module is built once per run: a repeated draw returns
+the module built the first time, so its presentation and tau (kept on the
+module) are reused, and a support that violates a relation is rejected from
+the same table.  The RNG stream and the modules drawn are the same as when
+every draw built a new module.  Each instance's exchange matrix, initial seed
+and pattern matrix are likewise built once per run.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Optional
 
 from . import cluster, reps
 from .errors import RelationViolation
@@ -42,25 +50,45 @@ class PropertySuiteResult:
         }
 
 
-def random_thin_module(rng: random.Random, inst: FamilyInstance) -> reps.Representation:
+ModuleTable = dict[tuple, Optional[reps.Representation]]
+
+
+def random_thin_module(
+    rng: random.Random, inst: FamilyInstance, built: Optional[ModuleTable] = None
+) -> reps.Representation:
     """A random thin 0/1 module: random support (rejecting relation-violating
-    ones), then a random subset of internal arrows zeroed out."""
+    ones), then a random subset of internal arrows zeroed out.
+
+    `built` is a table of the modules built so far, keyed by the instance,
+    the support and the zeroed arrows, with None for a rejected support.  A
+    draw that hits the table returns the object built the first time; the RNG
+    is consumed the same way either way."""
+    built = {} if built is None else built
     verts = inst.vertices
     for _ in range(50):
-        support = [v for v in verts if rng.random() < 0.55]
+        support = frozenset(v for v in verts if rng.random() < 0.55)
         if not support:
             continue
-        try:
-            m = reps.thin_from_support(inst.algebra, support)
-        except RelationViolation:
+        key = (inst.a1, inst.a2, support, ())
+        if key not in built:
+            try:
+                built[key] = reps.thin_from_support(inst.algebra, support)
+            except RelationViolation:
+                built[key] = None
+        m = built[key]
+        if m is None:
             continue
         if rng.random() < 0.3:
-            maps = dict(m.maps)
-            live = [a for a, mat in maps.items() if not mat.is_zero()]
-            for a in live:
-                if rng.random() < 0.25:
+            zeroed = tuple(
+                a for a, mat in m.maps.items() if not mat.is_zero() and rng.random() < 0.25
+            )
+            key = (inst.a1, inst.a2, support, zeroed)
+            if key not in built:
+                maps = dict(m.maps)
+                for a in zeroed:
                     maps[a] = Matrix.zeros(1, 1)
-            m = reps.Representation(inst.algebra, dict(m.dims), maps)
+                built[key] = reps.Representation(inst.algebra, dict(m.dims), maps)
+            m = built[key]
         return m
     return reps.simple(inst.algebra, verts[0])
 
@@ -68,7 +96,14 @@ def random_thin_module(rng: random.Random, inst: FamilyInstance) -> reps.Represe
 def run_property_suite(cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED) -> PropertySuiteResult:
     rng = random.Random(seed)
     result = PropertySuiteResult(seed=seed, cases=cases)
-    instances = [family_instance(a1, a2) for (a1, a2) in _INSTANCE_PARAMS]
+    instances = []
+    for a1, a2 in _INSTANCE_PARAMS:
+        inst = family_instance(a1, a2)
+        quiver = inst.quiver
+        instances.append(
+            (inst, to_exchange_matrix(quiver), cluster.initial_seed(quiver), cluster.pattern_matrix(quiver))
+        )
+    built: ModuleTable = {}
 
     def bump(name: str) -> None:
         result.checks_run[name] = result.checks_run.get(name, 0) + 1
@@ -77,12 +112,11 @@ def run_property_suite(cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED) -> 
         result.failures.append(f"{name}: {detail}")
 
     for case in range(cases):
-        inst = instances[rng.randrange(len(instances))]
-        m = random_thin_module(rng, inst)
-        n = random_thin_module(rng, inst)
+        inst, b, seed0, pattern = instances[rng.randrange(len(instances))]
+        m = random_thin_module(rng, inst, built)
+        n = random_thin_module(rng, inst, built)
 
         # matrix mutation involution at a random vertex
-        b = to_exchange_matrix(inst.quiver)
         word = [inst.vertices[rng.randrange(len(inst.vertices))] for _ in range(rng.randrange(4))]
         for k in word:
             b = mutate_matrix(b, k)
@@ -93,7 +127,6 @@ def run_property_suite(cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED) -> 
 
         # seed mutation: involution, sign coherence and exact division
         # (coherence and exactness are asserted inside mutate_seed)
-        seed0 = cluster.initial_seed(inst.quiver)
         word2 = [inst.vertices[rng.randrange(len(inst.vertices))] for _ in range(rng.randrange(1, 6))]
         bump("seed_word_exactness")
         try:
@@ -108,7 +141,7 @@ def run_property_suite(cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED) -> 
 
         # tropical sanity: G column = x-exponent of the unique y-free monomial
         slot = rng.randrange(len(inst.vertices))
-        variable = cluster.seed_variable(s1, slot, cluster.pattern_matrix(inst.quiver))
+        variable = cluster.seed_variable(s1, slot, pattern)
         y_free = [mono for mono in variable.terms if all(e == 0 for e in mono[s1.n :])]
         bump("tropical_sanity")
         if len(y_free) != 1 or y_free[0][: s1.n] != s1.g[slot]:

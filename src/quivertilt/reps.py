@@ -327,33 +327,23 @@ def thin_hom_components(m: Representation, n: Representation) -> list[dict[Verte
     return components
 
 
-def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Deterministic basis of Hom(M, N).  Between thin modules: one morphism
-    per surviving component (thin_hom_components).  Otherwise: one global
-    exact linear solve of the arrow commutation equations."""
-    if m.algebra is not n.algebra:
-        raise ShapeError("Hom across different algebras")
-    if m.is_thin() and n.is_thin():
-        return [
-            Morphism(m, n, {v: Matrix([[c]]) for v, c in comp.items()}, check=False)
-            for comp in thin_hom_components(m, n)
-        ]
-    algebra = m.algebra
-    vertices = algebra.quiver.vertices
+def _hom_equations(m: Representation, n: Representation) -> tuple[Matrix, dict[Vertex, int]]:
+    """The arrow commutation equations of Hom(M, N), one row per entry of
+    N_a·f_u = f_w·M_a over every arrow a: u -> w, and the offset at which
+    each vertex block f_v (n.dims[v] x m.dims[v], row-major) starts among
+    the unknowns; the matrix has one column per unknown."""
     offsets: dict[Vertex, int] = {}
     total = 0
-    for v in vertices:
+    for v in m.algebra.quiver.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    if total == 0:
-        return []
 
     def var(v: Vertex, i: int, j: int) -> int:
         return offsets[v] + i * m.dims[v] + j
 
     zero_row = [Fraction(0)] * total
     rows: list[list[Fraction]] = []
-    for arrow in algebra.quiver.arrows:
+    for arrow in m.algebra.quiver.arrows:
         src, dst = arrow
         phi = m.maps[arrow]
         psi = n.maps[arrow]
@@ -365,11 +355,25 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
                 for k in range(n.dims[src]):
                     row[var(src, k, j)] -= psi.rows[i][k]
                 rows.append(row)
+    return Matrix(rows, ncols=total), offsets
 
+
+def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
+    """Deterministic basis of Hom(M, N).  Between thin modules: one morphism
+    per surviving component (thin_hom_components).  Otherwise: one global
+    exact linear solve of the arrow commutation equations."""
+    if m.algebra is not n.algebra:
+        raise ShapeError("Hom across different algebras")
+    if m.is_thin() and n.is_thin():
+        return [
+            Morphism(m, n, {v: Matrix([[c]]) for v, c in comp.items()}, check=False)
+            for comp in thin_hom_components(m, n)
+        ]
+    equations, offsets = _hom_equations(m, n)
     basis = []
-    for vec in Matrix(rows, ncols=total).kernel_basis():
+    for vec in equations.kernel_basis():
         blocks = {}
-        for v in vertices:
+        for v in m.algebra.quiver.vertices:
             rows_v = []
             for i in range(n.dims[v]):
                 start = offsets[v] + i * m.dims[v]
@@ -380,7 +384,15 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    return len(hom_basis(m, n))
+    """dim Hom(M, N), counted without building a basis: the number of
+    surviving components between thin modules (thin_hom_components),
+    otherwise the unknowns minus the rank of the commutation equations."""
+    if m.algebra is not n.algebra:
+        raise ShapeError("Hom across different algebras")
+    if m.is_thin() and n.is_thin():
+        return len(thin_hom_components(m, n))
+    equations, _ = _hom_equations(m, n)
+    return equations.ncols - equations.rank()
 
 
 # -- kernels, cokernels, tops, socles ----------------------------------------
@@ -618,15 +630,15 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(M, N) minus the morphisms that factor through an injective,
     i.e. through the injective envelope M -> I(M), built as the dual of the
     projective cover P -> DM."""
-    full = hom_basis(m, n)
+    full = hom_dim(m, n)
     if not full:
         return 0
     emb = dual_morphism(projective_cover(dual(m))[1])
     factored = [emb.then(h).flatten() for h in hom_basis(emb.target, n)]
     factored = [v for v in factored if any(x != 0 for x in v)]
     if not factored:
-        return len(full)
-    return len(full) - Matrix(factored).rank()
+        return full
+    return full - Matrix(factored).rank()
 
 
 # -- isomorphism testing ------------------------------------------------------

@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Optional
 
 from quivertilt import cluster, reps
-from quivertilt.errors import ShapeError, UnsupportedInput
+from quivertilt.errors import RelationViolation, ShapeError, UnsupportedInput
+from quivertilt.family import FamilyInstance
 from quivertilt.fpoly import IntPoly, LaurentPoly
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, Vertex, r, s, t
@@ -448,3 +449,26 @@ def cc_character(m: Representation, quiver: Quiver) -> LaurentPoly:
         x_part = tuple(g[i] + sum(b0[i][j] * e for j, e in enumerate(mono)) for i in range(len(g)))
         terms[x_part + mono] = terms.get(x_part + mono, 0) + coeff
     return LaurentPoly(2 * len(g), terms)
+
+
+def random_thin_module(rng: random.Random, inst: FamilyInstance) -> reps.Representation:
+    """A random thin 0/1 module: random support (rejecting relation-violating
+    ones), then a random subset of internal arrows zeroed out."""
+    verts = inst.vertices
+    for _ in range(50):
+        support = [v for v in verts if rng.random() < 0.55]
+        if not support:
+            continue
+        try:
+            m = reps.thin_from_support(inst.algebra, support)
+        except RelationViolation:
+            continue
+        if rng.random() < 0.3:
+            maps = dict(m.maps)
+            live = [a for a, mat in maps.items() if not mat.is_zero()]
+            for a in live:
+                if rng.random() < 0.25:
+                    maps[a] = Matrix.zeros(1, 1)
+            m = reps.Representation(inst.algebra, dict(m.dims), maps)
+        return m
+    return reps.simple(inst.algebra, verts[0])

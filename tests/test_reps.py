@@ -616,6 +616,28 @@ def test_thin_hom_drops_a_component_with_inconsistent_cycle():
     assert f.blocks[r(3)] == Matrix([[Fraction(1, 2)]]) and f.blocks[r(4)] == Matrix([[1]])
 
 
+@pytest.mark.parametrize("a1,a2", [*properties._INSTANCE_PARAMS, (3, 3), (2, 4)])
+def test_hom_dim_matches_reference(a1, a2):
+    """hom_dim counts without a basis; the dense elimination oracle builds one.
+    Random thin pairs, their direct sum in either argument, the syzygy and τ
+    of M (often not thin, so the rank count runs) and the zero module."""
+    inst = family_instance(a1, a2)
+    rng = random.Random(1000 * a1 + a2)
+    zero = reps.zero_rep(inst.algebra)
+    counted_by_rank = 0
+    for _ in range(20):
+        m = properties.random_thin_module(rng, inst)
+        n = properties.random_thin_module(rng, inst)
+        mn, _ = reps.direct_sum([m, n])
+        syzygy = reps.minimal_projective_presentation(m).syzygy
+        pairs = [(m, n), (n, m), (mn, n), (m, mn), (mn, mn), (syzygy, n), (n, syzygy)]
+        pairs += [(reps.tau(m), n), (n, reps.tau(m)), (zero, m), (m, zero), (zero, zero)]
+        for x, y in pairs:
+            assert reps.hom_dim(x, y) == len(reference.hom_basis(x, y)), (x, y)
+            counted_by_rank += not (x.is_thin() and y.is_thin())
+    assert counted_by_rank
+
+
 # -- dump ----------------------------------------------------------------------------------
 
 
