@@ -40,7 +40,6 @@ from .reps import (
     SubmoduleSet,
     dual,
     ext1_dim,
-    hom_basis,
     hom_dim,
     injective,
     is_isomorphic_reps,

@@ -85,17 +85,6 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ShapeError(f"add {self.shape} + {other.shape}")
-        return Matrix(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.ncols)]
-                for i in range(self.nrows)
-            ],
-            ncols=self.ncols,
-        )
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError(f"mul {self.shape} @ {other.shape}")

@@ -1,8 +1,15 @@
 """Exact linear algebra of quiver representations over a bound algebra.
 
-Hom spaces, kernels/cokernels, tops and socles, minimal projective
-presentations, the AR translate via transpose-dual, thin submodule lattices
-and isomorphism certificates.  All arithmetic is rational and deterministic.
+Hom, Ext and stable Hom dimensions, kernels/cokernels, tops and socles,
+minimal projective presentations, the AR translate via transpose-dual, thin
+submodule lattices and isomorphism certificates.  All arithmetic is rational
+and deterministic.
+
+Every Hom number is a count: dim Hom is read off the thin Hom components
+between thin modules and is a rank count otherwise, and dim Ext^1 and the
+stable dim Hom modulo injectives are sums of Hom counts over a projective
+presentation or an injective copresentation.  Only thin Hom spaces are
+built, as one scalar per vertex (thin_hom_components).
 """
 
 from __future__ import annotations
@@ -264,13 +271,6 @@ class Morphism:
             blocks = {v: other.blocks[v] @ self.blocks[v] for v in common}
         return Morphism(m, p, blocks, check=False)
 
-    def flatten(self) -> tuple[Fraction, ...]:
-        out: list[Fraction] = []
-        for v in self.source.algebra.quiver.vertices:
-            for row in self.blocks[v].rows:
-                out.extend(row)
-        return tuple(out)
-
     def is_isomorphism(self) -> bool:
         if self.source.dims != self.target.dims:
             return False
@@ -327,11 +327,16 @@ def thin_hom_components(m: Representation, n: Representation) -> list[dict[Verte
     return components
 
 
-def _hom_equations(m: Representation, n: Representation) -> tuple[Matrix, dict[Vertex, int]]:
-    """The arrow commutation equations of Hom(M, N), one row per entry of
-    N_a·f_u = f_w·M_a over every arrow a: u -> w, and the offset at which
-    each vertex block f_v (n.dims[v] x m.dims[v], row-major) starts among
-    the unknowns; the matrix has one column per unknown."""
+def hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N), counted without building a basis.  Between thin modules
+    it is the number of surviving components (thin_hom_components).
+    Otherwise it is the number of unknowns, the entries of the blocks f_v
+    (n.dims[v] x m.dims[v], row-major), minus the rank of the commutation
+    equations N_a·f_u = f_w·M_a, one row per entry over every arrow a: u -> w."""
+    if m.algebra is not n.algebra:
+        raise ShapeError("Hom across different algebras")
+    if m.is_thin() and n.is_thin():
+        return len(thin_hom_components(m, n))
     offsets: dict[Vertex, int] = {}
     total = 0
     for v in m.algebra.quiver.vertices:
@@ -355,44 +360,7 @@ def _hom_equations(m: Representation, n: Representation) -> tuple[Matrix, dict[V
                 for k in range(n.dims[src]):
                     row[var(src, k, j)] -= psi.rows[i][k]
                 rows.append(row)
-    return Matrix(rows, ncols=total), offsets
-
-
-def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Deterministic basis of Hom(M, N).  Between thin modules: one morphism
-    per surviving component (thin_hom_components).  Otherwise: one global
-    exact linear solve of the arrow commutation equations."""
-    if m.algebra is not n.algebra:
-        raise ShapeError("Hom across different algebras")
-    if m.is_thin() and n.is_thin():
-        return [
-            Morphism(m, n, {v: Matrix([[c]]) for v, c in comp.items()}, check=False)
-            for comp in thin_hom_components(m, n)
-        ]
-    equations, offsets = _hom_equations(m, n)
-    basis = []
-    for vec in equations.kernel_basis():
-        blocks = {}
-        for v in m.algebra.quiver.vertices:
-            rows_v = []
-            for i in range(n.dims[v]):
-                start = offsets[v] + i * m.dims[v]
-                rows_v.append(vec[start : start + m.dims[v]])
-            blocks[v] = Matrix(rows_v, ncols=m.dims[v])
-        basis.append(Morphism(m, n, blocks, check=False))
-    return basis
-
-
-def hom_dim(m: Representation, n: Representation) -> int:
-    """dim Hom(M, N), counted without building a basis: the number of
-    surviving components between thin modules (thin_hom_components),
-    otherwise the unknowns minus the rank of the commutation equations."""
-    if m.algebra is not n.algebra:
-        raise ShapeError("Hom across different algebras")
-    if m.is_thin() and n.is_thin():
-        return len(thin_hom_components(m, n))
-    equations, _ = _hom_equations(m, n)
-    return equations.ncols - equations.rank()
+    return total - Matrix(rows, ncols=total).rank()
 
 
 # -- kernels, cokernels, tops, socles ----------------------------------------
@@ -628,17 +596,20 @@ def ext1_dim(m: Representation, n: Representation, hom_mn: int) -> int:
 
 def stable_hom_dim(m: Representation, n: Representation) -> int:
     """dim Hom(M, N) minus the morphisms that factor through an injective,
-    i.e. through the injective envelope M -> I(M), built as the dual of the
-    projective cover P -> DM."""
+    counted from the injective copresentation 0 -> M -> I0 -> Ω⁻¹M -> 0.
+    Every map from M into an injective extends along the envelope M -> I0,
+    so those morphisms are the image of Hom(I0, N) -> Hom(M, N), whose kernel
+    is Hom(Ω⁻¹M, N).  The envelope is the dual of the projective cover
+    P0 -> DM with kernel Ω, so I0 = D P0, Ω⁻¹M = D Ω and
+
+        dim Hom(M, N) - dim Hom(DN, P0) + dim Hom(DN, Ω)."""
     full = hom_dim(m, n)
     if not full:
         return 0
-    emb = dual_morphism(projective_cover(dual(m))[1])
-    factored = [emb.then(h).flatten() for h in hom_basis(emb.target, n)]
-    factored = [v for v in factored if any(x != 0 for x in v)]
-    if not factored:
-        return full
-    return full - Matrix(factored).rank()
+    p0, cover, _, _ = projective_cover(dual(m))
+    omega, _ = kernel(cover)
+    dn = dual(n)
+    return full - hom_dim(dn, p0) + hom_dim(dn, omega)
 
 
 # -- isomorphism testing ------------------------------------------------------

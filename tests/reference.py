@@ -87,6 +87,27 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
     return basis
 
 
+def flatten(f: Morphism) -> tuple[Fraction, ...]:
+    """The entries of f's blocks, vertex by vertex in canonical order, each
+    block row by row."""
+    return tuple(x for v in f.source.algebra.quiver.vertices for row in f.blocks[v].rows for x in row)
+
+
+def stable_hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N) minus the morphisms that factor through an injective,
+    i.e. through the injective envelope M -> I(M), built as the dual of the
+    projective cover P -> DM."""
+    full = reps.hom_dim(m, n)
+    if not full:
+        return 0
+    emb = reps.dual_morphism(reps.projective_cover(reps.dual(m))[1])
+    factored = [flatten(emb.then(h)) for h in hom_basis(emb.target, n)]
+    factored = [v for v in factored if any(x != 0 for x in v)]
+    if not factored:
+        return full
+    return full - Matrix(factored).rank()
+
+
 def then(f: Morphism, g: Morphism) -> Morphism:
     """f followed by g as the dense product of their blocks at every vertex."""
     if g.source is not f.target:
@@ -118,7 +139,7 @@ def end_quiver(instance, basis_cache) -> tuple[Quiver, bool]:
             if not base:
                 continue
             composites = [
-                then(f, g).flatten()
+                flatten(then(f, g))
                 for z in verts
                 if z not in (x, y)
                 for f in rad(x, z)
@@ -292,17 +313,20 @@ def find_isomorphism_reps(m: Representation, n: Representation) -> Optional[Morp
         return None
     if m.is_zero():
         return Morphism(m, n, {}, check=False)
-    basis = reps.hom_basis(m, n)
+    basis = hom_basis(m, n)
     if not basis:
         return None
 
-    def scaled(mat: Matrix, c: int) -> Matrix:
-        return Matrix([[c * x for x in row] for row in mat.rows], ncols=mat.ncols)
-
     def combine(coeffs) -> Morphism:
-        blocks = {v: scaled(b, coeffs[0]) for v, b in basis[0].blocks.items()}
-        for c, f in zip(coeffs[1:], basis[1:]):
-            blocks = {v: b + scaled(f.blocks[v], c) for v, b in blocks.items()}
+        blocks = {}
+        for v, b in basis[0].blocks.items():
+            blocks[v] = Matrix(
+                [
+                    [sum(c * f.blocks[v].rows[i][j] for c, f in zip(coeffs, basis)) for j in range(b.ncols)]
+                    for i in range(b.nrows)
+                ],
+                ncols=b.ncols,
+            )
         return Morphism(m, n, blocks, check=False)
 
     rng = random.Random(17)

@@ -1,0 +1,98 @@
+"""Negative controls: each test breaks one input of one check by monkeypatch
+and runs every check at (3, 3).  The broken check must read `passed: false`
+without crashing, and every check that does not read the broken input must
+keep the verdict of the unbroken run."""
+
+import pytest
+
+from quivertilt import reps, tilting
+from quivertilt.family import FamilyInstance, family_instance
+from quivertilt.quiver import r
+from quivertilt.report import run_checks
+
+A1, A2 = 3, 3
+
+
+def verdicts(report):
+    return {c.check_id: (c.passed, c.skipped) for c in report.checks}
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return verdicts(run_checks(A1, A2))
+
+
+def assert_only_broken(baseline, broken):
+    report = run_checks(A1, A2)
+    got = verdicts(report)
+    for check_id in broken:
+        assert baseline[check_id] == (True, False), check_id
+        assert got[check_id] == (False, False), check_id
+    by_id = {c.check_id: c for c in report.checks}
+    assert not any("error" in by_id[check_id].witness for check_id in broken)
+    assert {k: v for k, v in got.items() if k not in broken} == {
+        k: v for k, v in baseline.items() if k not in broken
+    }
+
+
+class TiltingReps:
+    """The tilting module's view of reps with some functions replaced, so
+    that the break reaches the tilting report and nothing else."""
+
+    def __init__(self, **overrides):
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(reps, name)
+
+
+def is_summand(inst, m, x):
+    """Summands have pairwise distinct supports, so the support names one."""
+    return m.support() == inst.support_M(x)
+
+
+def test_wrong_expected_hom_dim_fails_hom_table(monkeypatch, baseline):
+    real = FamilyInstance.expected_hom_dim
+
+    def wrong_once(self, x, y):
+        return real(self, x, y) + ((x, y) == (r(0), r(1)))
+
+    monkeypatch.setattr(FamilyInstance, "expected_hom_dim", wrong_once)
+    assert_only_broken(baseline, {"hom-table"})
+
+
+def test_one_nonzero_ext_fails_tilting(monkeypatch, baseline):
+    inst = family_instance(A1, A2)
+    real = reps.ext1_dim
+
+    def wrong_once(m, n, hom_mn):
+        return real(m, n, hom_mn) + (is_summand(inst, m, r(0)) and is_summand(inst, n, r(1)))
+
+    monkeypatch.setattr(tilting, "reps", TiltingReps(ext1_dim=wrong_once))
+    assert_only_broken(baseline, {"tilting"})
+
+
+def test_one_wrong_pd_verdict_fails_pd_le1_and_tilting(monkeypatch, baseline):
+    """T is tilting only if every summand has pd <= 1 (Theorem 5.8), so the
+    tilting check reads the same verdicts and fails with pd-le-1."""
+    inst = family_instance(A1, A2)
+    real = reps.projective_dimension_le1
+
+    def wrong_once(m):
+        return real(m) != is_summand(inst, m, r(0))
+
+    monkeypatch.setattr(tilting, "reps", TiltingReps(projective_dimension_le1=wrong_once))
+    assert_only_broken(baseline, {"pd-le-1", "tilting"})
+
+
+def test_wrong_expected_tau_fails_tau_closed_forms(monkeypatch, baseline):
+    real = FamilyInstance.expected_tau
+
+    def wrong_once(self, x):
+        if x == r(0):
+            assert not real(self, x).is_zero()
+            return reps.zero_rep(self.algebra)
+        return real(self, x)
+
+    monkeypatch.setattr(FamilyInstance, "expected_tau", wrong_once)
+    assert_only_broken(baseline, {"tau-closed-forms"})

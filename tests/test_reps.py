@@ -34,6 +34,15 @@ def a2_quiver():
     return BoundAlgebra(Quiver((r(1), r(2)), ((r(1), r(2)),)), [], name="A2")
 
 
+def thin_hom_basis(m, n):
+    """Hom(M, N) of thin modules as morphisms: one per component of
+    reps.thin_hom_components, its scalars as 1x1 blocks."""
+    return [
+        reps.Morphism(m, n, {v: Matrix([[c]]) for v, c in comp.items()}, check=False)
+        for comp in reps.thin_hom_components(m, n)
+    ]
+
+
 def supp_labels(m):
     return sorted(v.label for v in m.support())
 
@@ -211,8 +220,8 @@ def ext1_reference(m, n):
     syzygy, inclusion = reps.kernel(cover)
     if syzygy.is_zero():
         return 0
-    from_k = reps.hom_basis(syzygy, n)
-    restricted = [inclusion.then(h).flatten() for h in reps.hom_basis(p0, n)]
+    from_k = reference.hom_basis(syzygy, n)
+    restricted = [reference.flatten(inclusion.then(h)) for h in reference.hom_basis(p0, n)]
     restricted = [v for v in restricted if any(x != 0 for x in v)]
     if not restricted:
         return len(from_k)
@@ -308,14 +317,14 @@ def test_composition_needs_the_same_middle_module(a22):
     maps[(r(0), r(1))] = Matrix.zeros(1, 1)
     split = reps.Representation(a22, dict(m.dims), maps)  # same dims, different map
     to_split = reps.Morphism(reps.simple(a22, r(1)), split, {r(1): Matrix([[1]])})
-    from_m = reps.hom_basis(m, m)[0]
+    from_m = thin_hom_basis(m, m)[0]
     with pytest.raises(ShapeError):
         to_split.then(from_m)
 
 
 def test_hom_requires_same_algebra(a22, a2_quiver):
     with pytest.raises(ShapeError):
-        reps.hom_basis(reps.simple(a22, r(0)), reps.simple(a2_quiver, r(1)))
+        reps.hom_dim(reps.simple(a22, r(0)), reps.simple(a2_quiver, r(1)))
 
 
 def test_ext1_hereditary_example(a2_quiver):
@@ -544,16 +553,16 @@ def rescaled_arrows(m, rng):
 
 
 def assert_hom_matches_reference(m, n):
-    """The fast Hom basis against the elimination oracle: same dimension, same
-    span, and every fast morphism commutes."""
-    fast = reps.hom_basis(m, n)
+    """The thin Hom basis against the elimination oracle: same dimension, same
+    span, and every thin morphism commutes."""
+    fast = thin_hom_basis(m, n)
     dense = reference.hom_basis(m, n)
     assert len(fast) == len(dense)
     for f in fast:
         f.check_commutes()
     if fast:
-        assert Matrix([f.flatten() for f in fast]).rank() == len(fast)
-        assert Matrix([f.flatten() for f in fast + dense]).rank() == len(fast)
+        assert Matrix([reference.flatten(f) for f in fast]).rank() == len(fast)
+        assert Matrix([reference.flatten(f) for f in fast + dense]).rank() == len(fast)
     return fast
 
 
@@ -574,7 +583,7 @@ def test_thin_hom_and_composition_match_reference(thin_family, a1, a2):
         hom_np = assert_hom_matches_reference(n, p)
         assert_hom_matches_reference(m, m)
         assert_then_matches_reference(hom_mn, hom_np)
-        assert_then_matches_reference(hom_mn, reps.hom_basis(n, n))
+        assert_then_matches_reference(hom_mn, thin_hom_basis(n, n))
 
 
 @pytest.mark.parametrize("a1,a2", THIN_FAMILY)
@@ -589,7 +598,7 @@ def test_thin_hom_matches_reference_on_family_modules(thin_family, a1, a2):
             assert_hom_matches_reference(m, n)
     verts = inst.vertices
     homs = {
-        (x, y): reps.hom_basis(inst.module_M(x), inst.module_M(y)) for x in verts for y in verts
+        (x, y): thin_hom_basis(inst.module_M(x), inst.module_M(y)) for x in verts for y in verts
     }
     for x in verts:
         for y in verts:
@@ -609,7 +618,7 @@ def test_thin_hom_drops_a_component_with_inconsistent_cycle():
     maps = dict(m.maps)
     maps[(r(3), r(4))] = Matrix([[2]])
     n = reps.Representation(square, dict(m.dims), maps)
-    assert reps.hom_basis(m, n) == [] == reference.hom_basis(m, n)
+    assert thin_hom_basis(m, n) == [] == reference.hom_basis(m, n)
     maps[(r(1), r(3))] = Matrix([[Fraction(1, 2)]])  # the square commutes again
     gauged = reps.Representation(square, dict(m.dims), maps)
     (f,) = assert_hom_matches_reference(m, gauged)
@@ -636,6 +645,30 @@ def test_hom_dim_matches_reference(a1, a2):
             assert reps.hom_dim(x, y) == len(reference.hom_basis(x, y)), (x, y)
             counted_by_rank += not (x.is_thin() and y.is_thin())
     assert counted_by_rank
+
+
+@pytest.mark.parametrize("a1,a2", [*properties._INSTANCE_PARAMS, (3, 3), (2, 4)])
+def test_stable_hom_dim_matches_reference(a1, a2):
+    """stable_hom_dim counts from the injective copresentation; the oracle
+    takes the rank of the composites through the injective envelope.  The
+    pairs of the AR formula and of Hom additivity, syzygies and the zero
+    module; a direct sum or a syzygy is often not thin."""
+    inst = family_instance(a1, a2)
+    rng = random.Random(1000 * a1 + a2)
+    zero = reps.zero_rep(inst.algebra)
+    not_thin = 0
+    for _ in range(20):
+        m = properties.random_thin_module(rng, inst)
+        n = properties.random_thin_module(rng, inst)
+        mn, _ = reps.direct_sum([m, n])
+        tau_m = reps.tau(m)
+        syzygy = reps.minimal_projective_presentation(m).syzygy
+        pairs = [(n, tau_m), (m, n), (tau_m, n), (m, mn), (mn, n)]
+        pairs += [(syzygy, n), (n, syzygy), (zero, m), (m, zero)]
+        for x, y in pairs:
+            assert reps.stable_hom_dim(x, y) == reference.stable_hom_dim(x, y), (x, y)
+            not_thin += not (x.is_thin() and y.is_thin())
+    assert not_thin
 
 
 # -- dump ----------------------------------------------------------------------------------
