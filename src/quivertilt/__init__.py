@@ -18,7 +18,6 @@ from .cluster import (
     verify_acyclic_type,
     verify_order_two,
     verify_palindrome_lemma,
-    verify_source_sink_discipline,
 )
 from .family import FamilyInstance, family_instance, radical_layers
 from .fpoly import IntPoly, LaurentPoly

@@ -1,5 +1,6 @@
 """Seeds with principal coefficients, the mutation words of the family, the
-module characters, and the order-two / acyclic-type / shift verifications.
+module characters, and the section-7 verifications.  Those all read one
+replay of mu (`replay_mu`), the only walk of mu_R, mu_S and mu_T here.
 
 Seeds track the exchange matrix (in the quiver sign convention
 b[i][j] = #(i->j) - #(j->i)), the C- and G-matrices, and the F-polynomials;
@@ -14,6 +15,7 @@ guarded by test_seed_sign_calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import build_quiver
@@ -257,50 +259,47 @@ def cc_exponent(m: Representation) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MuReplay:
-    """The seeds along mu that more than one section-7 check reads, each
-    reached by continuing the previous one: mu_R Q, mu_S mu_R Q, mu Q and
-    mu mu Q."""
+    """The one walk of mu behind every section-7 check.
+
+    It keeps the seeds mu_R Q, mu_S mu_R Q, mu Q and mu mu Q, each reached
+    by continuing the previous one; whether every mu_S step mutated a source
+    and every mu_T step a sink of the current quiver; and, built on first
+    read, mu_T mu_R Q.
+    """
 
     word: MutationWord
     base: Seed
     after_s: Seed
     mu: Seed
     mu2: Seed
+    discipline_holds: bool
+
+    @cached_property
+    def mu_t_base(self) -> Seed:
+        """mu_T applied to mu_R Q (not to mu_S mu_R Q)."""
+        return apply_word(self.base, self.word.mu_t)
 
 
 def replay_mu(a1: int, a2: int, track_f: bool = True) -> MuReplay:
     """Apply mu twice to the initial seed of Q[a1,a2], one mutation per step."""
     word = build_mu(a1, a2)
     base = apply_word(initial_seed(build_quiver(a1, a2), track_f), word.mu_r)
-    after_s = apply_word(base, word.mu_s)
-    mu = apply_word(after_s, word.mu_t + tuple(reversed(word.mu_r)))
-    return MuReplay(word, base, after_s, mu, apply_word(mu, word.mu))
+    after_s, sources = _apply_word_checking(base, word.mu_s, 1)
+    after_t, sinks = _apply_word_checking(after_s, word.mu_t, -1)
+    mu = apply_word(after_t, tuple(reversed(word.mu_r)))
+    return MuReplay(word, base, after_s, mu, apply_word(mu, word.mu), sources and sinks)
 
 
-def _mu_r_matrix(a1: int, a2: int) -> tuple[MutationWord, ExchangeMatrix]:
-    """The mutation word and the exchange matrix of mu_R Q."""
-    word = build_mu(a1, a2)
-    b = to_exchange_matrix(build_quiver(a1, a2))
-    for k in word.mu_r:
-        b = mutate_matrix(b, k)
-    return word, b
-
-
-def verify_source_sink_discipline(a1: int, a2: int) -> bool:
-    """Every mu_S step mutates a source and every mu_T step a sink of the
-    current quiver, starting from mu_R Q."""
-    word, b = _mu_r_matrix(a1, a2)
-    for k in word.mu_s:
-        kk = b.vertex_index(k)
-        if any(b.entries[i][kk] > 0 for i in range(b.n)):
-            return False
-        b = mutate_matrix(b, kk)
-    for k in word.mu_t:
-        kk = b.vertex_index(k)
-        if any(b.entries[kk][j] > 0 for j in range(b.n)):
-            return False
-        b = mutate_matrix(b, kk)
-    return True
+def _apply_word_checking(seed: Seed, word: Sequence[Vertex], sign: int) -> tuple[Seed, bool]:
+    """apply_word, and whether no step mutates a vertex k with an entry
+    sign * b[i][k] > 0 in the current B; as b[i][k] counts the arrows i -> k,
+    sign 1 asks for a source at every step and sign -1 for a sink."""
+    holds = True
+    for k in word:
+        kk = seed.index(k)
+        holds = holds and all(sign * row[kk] <= 0 for row in seed.b.entries)
+        seed = mutate_seed(seed, kk)
+    return seed, holds
 
 
 def expected_type(a1: int, a2: int) -> TypeLabel:
@@ -339,17 +338,14 @@ class TypeCheck:
         return self.mu_r_acyclic and self.label == self.expected and self.branch_ok
 
 
-def verify_acyclic_type(a1: int, a2: int) -> TypeCheck:
+def verify_acyclic_type(replay: MuReplay) -> TypeCheck:
     """mu_R Q must be acyclic; its underlying tree gives the type, and
     mu_T mu_R Q must be the T_{a1+1, a1+1, a2-1} tree."""
-    word, b = _mu_r_matrix(a1, a2)
-    q_r = b.to_quiver()
+    a1, a2 = replay.word.a1, replay.word.a2
+    q_r = replay.base.b.to_quiver()
     acyclic = not has_directed_cycle(q_r)
     label = classify_acyclic_type(q_r)
-    b_tr = b
-    for k in word.mu_t:
-        b_tr = mutate_matrix(b_tr, k)
-    data = tree_branch_data(b_tr.to_quiver())
+    data = tree_branch_data(replay.mu_t_base.b.to_quiver())
     expected_data = tuple(sorted((a1 + 1, a1 + 1, a2 - 1)))
     return TypeCheck(label, expected_type(a1, a2), acyclic, data, expected_data)
 
@@ -360,8 +356,7 @@ def verify_palindrome_lemma(replay: MuReplay) -> bool:
     word, base = replay.word, replay.base
     if not replay.after_s.same_data(apply_word(base, tuple(reversed(word.mu_s)))):
         return False
-    fwd = apply_word(base, word.mu_t)
-    return fwd.same_data(apply_word(base, tuple(reversed(word.mu_t))))
+    return replay.mu_t_base.same_data(apply_word(base, tuple(reversed(word.mu_t))))
 
 
 @dataclass(frozen=True)

@@ -128,12 +128,6 @@ class Quiver:
     def n(self) -> int:
         return len(self.vertices)
 
-    def vertex_index(self, v: Vertex) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise VertexError(f"{v} not a vertex of this quiver") from None
-
     def arrows_from(self, v: Vertex) -> list[Arrow]:
         return [a for a in self.arrows if a[0] == v]
 

@@ -259,8 +259,7 @@ def _check_end_iso(ctx):
 
 
 def _check_type(ctx):
-    inst = ctx["instance"]
-    tc = cluster.verify_acyclic_type(inst.a1, inst.a2)
+    tc = cluster.verify_acyclic_type(_shared(ctx, _replay))
     witness = {
         "label": str(tc.label),
         "expected": str(tc.expected),
@@ -271,8 +270,7 @@ def _check_type(ctx):
 
 
 def _check_discipline(ctx):
-    inst = ctx["instance"]
-    return cluster.verify_source_sink_discipline(inst.a1, inst.a2), {}
+    return _shared(ctx, _replay).discipline_holds, {}
 
 
 def _check_palindrome(ctx):

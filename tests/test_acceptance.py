@@ -140,7 +140,8 @@ def test_criterion_6_type_classification():
             )
     ok = True
     for (a1, a2) in SWEEP:
-        tc = cluster.verify_acyclic_type(a1, a2)
+        replay = cluster.replay_mu(a1, a2, track_f=False)
+        tc = cluster.verify_acyclic_type(replay)
         if not tc.mu_r_acyclic or tc.label != expected[(a1, a2)]:
             ok = False
         if a2 == 2:
@@ -148,7 +149,7 @@ def test_criterion_6_type_classification():
                 ok = False
         elif tc.branch_data != tuple(sorted((a1 + 1, a1 + 1, a2 - 1))):
             ok = False
-        if not cluster.verify_source_sink_discipline(a1, a2):
+        if not replay.discipline_holds:
             ok = False
     verdict(6, "acyclic type classification", ok)
 

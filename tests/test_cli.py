@@ -442,7 +442,17 @@ def test_raising_tilting_report_is_built_once(monkeypatch):
 @pytest.mark.parametrize(
     "name,readers",
     [
-        ("replay_mu", ["golden-fixture", "palindrome", "order-two", "t-to-shift"]),
+        (
+            "replay_mu",
+            [
+                "golden-fixture",
+                "acyclic-type",
+                "source-sink-discipline",
+                "palindrome",
+                "order-two",
+                "t-to-shift",
+            ],
+        ),
         ("verify_T_maps_to_shift", ["golden-fixture", "t-to-shift"]),
     ],
 )

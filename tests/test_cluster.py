@@ -6,7 +6,7 @@ from quivertilt.family import family_instance
 from quivertilt.fpoly import LaurentPoly
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, TypeLabel, r, s, t, to_exchange_matrix
-from quivertilt import cluster, reps
+from quivertilt import cluster, quiver, reps
 from quivertilt.report import run_checks
 
 import reference
@@ -200,7 +200,7 @@ def test_seed_sign_calibration():
 
 def test_source_sink_discipline():
     for (a1, a2) in SWEEP:
-        assert cluster.verify_source_sink_discipline(a1, a2), (a1, a2)
+        assert cluster.replay_mu(a1, a2, track_f=False).discipline_holds, (a1, a2)
 
 
 def test_acyclic_type_table():
@@ -214,7 +214,7 @@ def test_acyclic_type_table():
         (1, 2): TypeLabel("A", (3,)),
     }
     for (a1, a2), expected in cases.items():
-        tc = cluster.verify_acyclic_type(a1, a2)
+        tc = cluster.verify_acyclic_type(cluster.replay_mu(a1, a2, track_f=False))
         assert tc.mu_r_acyclic, (a1, a2)
         assert tc.label == expected, (a1, a2, str(tc.label))
         assert tc.ok, (a1, a2)
@@ -222,7 +222,7 @@ def test_acyclic_type_table():
 
 def test_branch_data_after_mu_t_mu_r():
     for (a1, a2) in SWEEP:
-        tc = cluster.verify_acyclic_type(a1, a2)
+        tc = cluster.verify_acyclic_type(cluster.replay_mu(a1, a2, track_f=False))
         if a2 == 2:
             assert tc.branch_data is None  # degenerate arm: a path
         else:
@@ -280,6 +280,25 @@ def test_run_checks_replays_mu_once(monkeypatch):
     assert len(calls) == 2 * len(word.mu) + len(word.mu_s) + 2 * len(word.mu_t)
 
 
+def test_section_7_checks_walk_mu_once(monkeypatch):
+    """All five section-7 checks read one replay: mu twice, plus the reversed
+    mu_S, mu_T mu_R Q and the reversed mu_T of the palindrome lemma."""
+    calls = []
+    original = quiver.mutate_matrix
+
+    def counting(b, k):
+        calls.append(k)
+        return original(b, k)
+
+    monkeypatch.setattr(quiver, "mutate_matrix", counting)
+    monkeypatch.setattr(cluster, "mutate_matrix", counting)
+    checks = ["acyclic-type", "source-sink-discipline", "palindrome", "order-two", "t-to-shift"]
+    report = run_checks(6, 8, checks=checks, laurent_cap=0)
+    assert report.overall
+    word = cluster.build_mu(6, 8)
+    assert len(calls) == 2 * len(word.mu) + len(word.mu_s) + 2 * len(word.mu_t) == 175
+
+
 @pytest.mark.parametrize("a1,a2", [(2, 2), (3, 4)])
 def test_replay_mu_matches_fresh_word_application(a1, a2):
     replay = cluster.replay_mu(a1, a2)
@@ -332,9 +351,9 @@ def test_mu_quiver_isomorphic_to_q():
 def test_beyond_default_sweep_integer_level():
     # n = 15 exceeds the default Laurent cap; the integer-level machinery
     # (and even forced Laurent tracking) stays exact and fast here
-    assert cluster.verify_source_sink_discipline(5, 6)
-    tc = cluster.verify_acyclic_type(5, 6)
-    assert tc.ok and tc.label == TypeLabel("TreeWild", (5, 6, 6))
     replay = cluster.replay_mu(5, 6, track_f=False)
+    assert replay.discipline_holds
+    tc = cluster.verify_acyclic_type(replay)
+    assert tc.ok and tc.label == TypeLabel("TreeWild", (5, 6, 6))
     assert cluster.verify_order_two(replay).holds
     assert cluster.verify_palindrome_lemma(replay)

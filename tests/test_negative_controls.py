@@ -3,11 +3,14 @@ and runs every check at (3, 3).  The broken check must read `passed: false`
 without crashing, and every check that does not read the broken input must
 keep the verdict of the unbroken run."""
 
+import dataclasses
+
 import pytest
 
-from quivertilt import reps, tilting
+from quivertilt import cluster, reps, tilting
 from quivertilt.family import FamilyInstance, family_instance
-from quivertilt.quiver import r
+from quivertilt.fpoly import IntPoly
+from quivertilt.quiver import TypeLabel, r
 from quivertilt.report import run_checks
 
 A1, A2 = 3, 3
@@ -96,3 +99,57 @@ def test_wrong_expected_tau_fails_tau_closed_forms(monkeypatch, baseline):
 
     monkeypatch.setattr(FamilyInstance, "expected_tau", wrong_once)
     assert_only_broken(baseline, {"tau-closed-forms"})
+
+
+def test_wrong_expected_type_fails_acyclic_type(monkeypatch, baseline):
+    real = cluster.expected_type
+
+    def wrong(a1, a2):
+        assert real(a1, a2) == TypeLabel("AffineE", (7,))
+        return TypeLabel("AffineE", (6,))
+
+    monkeypatch.setattr(cluster, "expected_type", wrong)
+    assert_only_broken(baseline, {"acyclic-type"})
+
+
+def test_swapped_mu_t_letters_fail_discipline_palindrome_and_order_two(monkeypatch, baseline):
+    """mu_T starting t2, t1 instead of t1, t2 mutates a vertex that is not a
+    sink, and the word with the swap is neither a palindrome pair nor of
+    order two.  mu_R and mu_S are untouched, so the type and the shift hold."""
+    real = cluster.build_mu
+
+    def swapped(a1, a2):
+        word = real(a1, a2)
+        mu_t = (word.mu_t[1], word.mu_t[0]) + word.mu_t[2:]
+        assert mu_t != word.mu_t
+        return dataclasses.replace(word, mu_t=mu_t)
+
+    monkeypatch.setattr(cluster, "build_mu", swapped)
+    assert_only_broken(baseline, {"source-sink-discipline", "palindrome", "order-two"})
+
+
+def test_no_f_polynomial_returning_to_one_fails_order_two(monkeypatch, baseline):
+    monkeypatch.setattr(IntPoly, "is_one", lambda self: False)
+    assert_only_broken(baseline, {"order-two"})
+
+
+def test_wrong_cc_exponent_fails_t_to_shift(monkeypatch, baseline):
+    inst = family_instance(A1, A2)
+    real = cluster.cc_exponent
+
+    def wrong_once(m):
+        got = real(m)
+        if is_summand(inst, m, r(0)):
+            return (got[0] + 1,) + got[1:]
+        return got
+
+    monkeypatch.setattr(cluster, "cc_exponent", wrong_once)
+    assert_only_broken(baseline, {"t-to-shift"})
+
+
+def test_seeds_never_equal_fails_palindrome_and_properties(monkeypatch, baseline):
+    """The palindrome lemma compares seeds with `Seed.same_data`, and so does
+    the property suite's check that mutating twice at one vertex is the
+    identity; no other check compares seeds."""
+    monkeypatch.setattr(cluster.Seed, "same_data", lambda self, other: False)
+    assert_only_broken(baseline, {"palindrome", "properties"})

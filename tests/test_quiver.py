@@ -228,8 +228,6 @@ def test_source_sink_basic():
     assert q.arrows_from(t(1)) == []
     assert q.arrows_into(r(0)) and q.arrows_from(r(0))
     assert q.arrows_into(s(1)) == []
-    with pytest.raises(VertexError):
-        q.vertex_index(s(9))
 
 
 def test_s1_source_in_mu_r_quiver():
