@@ -8,7 +8,6 @@ from .cluster import (
     Seed,
     apply_word,
     build_mu,
-    cc_exponent,
     f_polynomial,
     g_vector,
     initial_seed,

@@ -19,7 +19,12 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import build_quiver
-from .errors import SignCoherenceViolation, UnsupportedInput, UnsupportedParameters
+from .errors import (
+    SelfDualityViolation,
+    SignCoherenceViolation,
+    UnsupportedInput,
+    UnsupportedParameters,
+)
 from .family import FamilyInstance
 from .fpoly import IntPoly, LaurentPoly
 from .quiver import (
@@ -247,13 +252,6 @@ def g_vector(m: Representation) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cc_exponent(m: Representation) -> tuple[int, ...]:
-    """x-exponent of the leading (coefficient-free) monomial of the module's
-    cluster variable: [I1] - [I0] from the minimal injective copresentation,
-    which is the negated g-vector of the dual module."""
-    return tuple(-x for x in g_vector(reps.dual(m)))
-
-
 # -- section-7 verifications ---------------------------------------------------
 
 
@@ -406,16 +404,72 @@ class ShiftResult:
         return self.g_multiset_ok and (not self.laurent_checked or self.pairing is not None)
 
 
+def _certified_sigma(instance: FamilyInstance) -> dict[Vertex, Vertex]:
+    """The self-duality sigma: A^op ~= A of Theorem 6.9, certified to be a
+    bijection of the vertices that carries the arrows of A^op onto those of A
+    and the forbidden words of A^op onto those of A (compared as sets)."""
+    algebra = instance.algebra
+    op = algebra.opposite_algebra()
+    sigma = instance.opposite_isomorphism()
+    step = "certifying sigma on A^op"
+
+    def carry(arrows):
+        return tuple((sigma[a], sigma[b]) for a, b in arrows)
+
+    verts = set(algebra.quiver.vertices)
+    if set(sigma) != verts or set(sigma.values()) != verts:
+        raise SelfDualityViolation(f"{step}: sigma is not a bijection of the vertices")
+    if sorted(carry(op.quiver.arrows)) != sorted(algebra.quiver.arrows):
+        raise SelfDualityViolation(f"{step}: the arrows of A^op are not carried onto those of A")
+    if {carry(w) for w in op.forbidden} != set(algebra.forbidden):
+        raise SelfDualityViolation(
+            f"{step}: the forbidden words of A^op are not carried onto those of A"
+        )
+    return sigma
+
+
+def injective_exponents(instance: FamilyInstance) -> dict[Vertex, tuple[int, ...]]:
+    """g°(M(x)) = -g(D M(x)) for every summand, read through the certified
+    self-duality sigma as g°(M(x))[v] = -g(M(sigma x))[sigma v]: once D M(x)
+    carried by sigma equals M(sigma x), its presentation over A^op is that
+    of M(sigma x) over A relabeled, and the one kept on the summand is read.
+    A failed step raises SelfDualityViolation naming it."""
+    sigma = _certified_sigma(instance)
+    order = {v: i for i, v in enumerate(instance.vertices)}
+    out = {}
+    for x in instance.vertices:
+        d = reps.dual(instance.module_M(x))
+        # valid by construction: sigma carries the relations of A^op onto those of A
+        carried = Representation(
+            instance.algebra,
+            {sigma[v]: k for v, k in d.dims.items()},
+            {(sigma[a], sigma[b]): mat for (a, b), mat in d.maps.items()},
+            check=False,
+        )
+        target = instance.module_M(sigma[x])
+        if carried != target:
+            raise SelfDualityViolation(
+                f"certifying sigma on D M({x}): carried by sigma it is not M({sigma[x]})"
+            )
+        g = g_vector(target)
+        out[x] = tuple(-g[order[sigma[v]]] for v in instance.vertices)
+    return out
+
+
 def verify_T_maps_to_shift(instance: FamilyInstance, replay: MuReplay) -> ShiftResult:
     """After the word mu, the seed's G-columns are the module exponents
     {g°(M(x))} as a multiset; when the replay tracks F-polynomials the cluster
     variables are the module characters and the slot pairing x -> slot is
-    returned (M(x) corresponds to the shifted projective of the paired slot)."""
+    returned (M(x) corresponds to the shifted projective of the paired slot).
+
+    The exponents come from injective_exponents, which reads each one off
+    the presentation of a summand M(sigma x) over A: in a full run, the one
+    tau already built and kept on the module."""
     quiver = instance.quiver
     n = quiver.n
     seed = replay.mu
 
-    expected_g = {x: cc_exponent(instance.module_M(x)) for x in quiver.vertices}
+    expected_g = injective_exponents(instance)
     got_g = list(seed.g)
     g_ok = sorted(got_g) == sorted(expected_g.values())
 

@@ -39,3 +39,7 @@ class LaurentPhenomenonViolation(QuivertiltError):
 
 class SignCoherenceViolation(QuivertiltError):
     """A C-matrix column had mixed signs; indicates a convention bug."""
+
+
+class SelfDualityViolation(QuivertiltError):
+    """The self-duality sigma: A^op ~= A failed a step of its certificate."""

@@ -462,11 +462,19 @@ def submodules_thin(m: Representation) -> reps.SubmoduleSet:
     return reps.SubmoduleSet(tuple(subsets))
 
 
+def cc_exponent(m: Representation) -> tuple[int, ...]:
+    """x-exponent of the leading (coefficient-free) monomial of the module's
+    cluster variable: [I1] - [I0] from the minimal injective copresentation,
+    which is the negated g-vector of the dual module, presented over the
+    opposite algebra (the library reads it through the self-duality sigma)."""
+    return tuple(-x for x in cluster.g_vector(reps.dual(m)))
+
+
 def cc_character(m: Representation, quiver: Quiver) -> LaurentPoly:
     """The module's cluster variable x^{g°(M)} F_M(yhat) in (x, y), expanded
     from the module's own exponent and F-polynomial rather than from a seed;
     yhat_j = y_j x^{b0 column j}."""
-    g = cluster.cc_exponent(m)
+    g = cc_exponent(m)
     b0 = cluster.pattern_matrix(quiver)
     terms: dict[tuple[int, ...], int] = {}
     for mono, coeff in cluster.f_polynomial(m).terms.items():

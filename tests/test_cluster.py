@@ -1,18 +1,19 @@
 import pytest
 
 from quivertilt.algebra import BoundAlgebra, build_quiver
-from quivertilt.errors import UnsupportedInput, UnsupportedParameters
+from quivertilt.errors import SelfDualityViolation, UnsupportedInput, UnsupportedParameters
 from quivertilt.family import family_instance
 from quivertilt.fpoly import LaurentPoly
 from quivertilt.linalg import Matrix
 from quivertilt.quiver import Quiver, TypeLabel, r, s, t, to_exchange_matrix
 from quivertilt import cluster, quiver, reps
-from quivertilt.report import run_checks
+from quivertilt.report import ALL_CHECKS, run_checks
 
 import reference
 from reference import det, find_isomorphism, mutate_c_g, mutate_f
 
 SWEEP = [(1, 2), (2, 2), (1, 3), (2, 3), (3, 2), (3, 3), (2, 4), (1, 5)]
+DEFAULT_GRID = [(a1, a2) for a1 in range(1, 5) for a2 in range(2, 6)]
 
 
 def rows(columns):
@@ -173,6 +174,54 @@ def test_cc_character_subtraction_free_at_y_one():
     for x in inst.vertices:
         cc = reference.cc_character(inst.module_M(x), inst.quiver)
         assert all(c > 0 for c in cc.terms.values())
+
+
+@pytest.mark.parametrize("a1,a2", DEFAULT_GRID + [(6, 8), (10, 12)])
+def test_injective_exponents_match_the_dual_presentation(a1, a2):
+    """The sigma route equals -g(D M(x)) presented over A^op."""
+    inst = family_instance(a1, a2)
+    assert cluster.injective_exponents(inst) == {
+        x: reference.cc_exponent(inst.module_M(x)) for x in inst.vertices
+    }
+
+
+def test_sigma_certificate_names_the_failed_step(monkeypatch):
+    inst = family_instance(2, 3)
+    real = inst.opposite_isomorphism
+    monkeypatch.setattr(inst, "opposite_isomorphism", lambda: {**real(), r(0): r(1)})
+    with pytest.raises(SelfDualityViolation, match="A\\^op: sigma is not a bijection"):
+        cluster.injective_exponents(inst)
+    monkeypatch.setattr(inst, "opposite_isomorphism", real)
+    # the opposite algebra keeps every relation that A now drops
+    inst.algebra.opposite_algebra()
+    monkeypatch.setattr(inst.algebra, "forbidden", inst.algebra.forbidden[1:])
+    with pytest.raises(SelfDualityViolation, match="forbidden words of A\\^op are not carried"):
+        cluster.injective_exponents(inst)
+
+
+def count_presentations(monkeypatch, **kwargs):
+    calls = []
+    real = reps.Presentation
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(reps, "Presentation", counting)
+    assert run_checks(6, 8, **kwargs).overall
+    return len(calls)
+
+
+def test_shift_reads_the_presentations_tau_built(monkeypatch):
+    """One presentation per summand at (6,8), n = 19: the shift reads the
+    ones tau keeps on M(sigma x) and builds none over A^op."""
+    checks = [c for c in ALL_CHECKS if c != "properties"]
+    assert count_presentations(monkeypatch, checks=checks) == 19
+
+
+def test_shift_without_tau_builds_one_presentation_per_summand(monkeypatch):
+    checks = ["palindrome", "order-two", "t-to-shift"]
+    assert count_presentations(monkeypatch, checks=checks, laurent_cap=19) == 19
 
 
 # -- the calibration guard -------------------------------------------------------------
