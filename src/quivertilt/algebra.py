@@ -93,6 +93,8 @@ class BoundAlgebra:
         self.basis: dict[tuple[Vertex, Vertex], tuple[Path, ...]] = {}
         self._build_basis(4 * quiver.n + 4)
         self._opposite: Optional[BoundAlgebra] = None
+        # reps.injective's I(x), by vertex: built once, read by every τ
+        self._injectives: dict = {}
 
     # -- basis -------------------------------------------------------------
 

@@ -1,13 +1,15 @@
 """Dense exact linear algebra over the rationals.
 
 Everything downstream (Hom spaces, kernels, presentations) runs through this
-module, so all elimination is fraction-exact and fully deterministic: the
-pivot is always the first nonzero entry in column order.
+module, so all elimination is exact and fully deterministic: the pivot is
+always the first nonzero entry in column order.  Entries are ints or
+Fractions; a float is refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -16,7 +18,39 @@ Scalar = Fraction | int
 
 
 def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if not isinstance(x, int):
+        raise TypeError(f"entry {x!r} is a {type(x).__name__}, not an int or a Fraction")
+    return Fraction(x)
+
+
+def fraction_free_rank(rows: Iterable[Sequence[Scalar]]) -> int:
+    """Rank of rational rows on integers only: each row is scaled by the lcm
+    of its denominators, then eliminated fraction-free (Bareiss 1968).  After
+    the k-th pivot every entry below the pivot rows is a (k+1)-minor of the
+    scaled rows, so the division by the previous pivot is exact."""
+    m = []
+    for row in rows:
+        if any(row):
+            scale = lcm(*(x.denominator for x in row))
+            m.append([x.numerator * (scale // x.denominator) for x in row])
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank]
+        pv = top[c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(pv * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = pv
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 class Matrix:

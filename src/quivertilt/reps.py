@@ -1,15 +1,17 @@
 """Exact linear algebra of quiver representations over a bound algebra.
 
 Hom, Ext and stable Hom dimensions, kernels/cokernels, tops and socles,
-minimal projective presentations, the AR translate via transpose-dual, thin
+minimal projective presentations, the AR translate τ = D Tr as the kernel of
+the Nakayama image ν(d) on the injectives kept on the algebra, thin
 submodule lattices and isomorphism certificates.  All arithmetic is rational
 and deterministic.
 
 Every Hom number is a count: dim Hom is read off the thin Hom components
-between thin modules and is a rank count otherwise, and dim Ext^1 and the
-stable dim Hom modulo injectives are sums of Hom counts over a projective
-presentation or an injective copresentation.  Only thin Hom spaces are
-built, as one scalar per vertex (thin_hom_components).
+between thin modules and is an integer rank count otherwise, and dim Ext^1
+and the stable dim Hom modulo injectives are sums of Hom counts over a
+projective presentation or an injective copresentation, both kept on the
+module.  Only thin Hom spaces are built, as one scalar per vertex
+(thin_hom_components).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import BoundAlgebra, PathCombo, PathMatrix
 from .errors import RelationViolation, ShapeError, UnsupportedInput, VertexError
-from .linalg import Matrix
+from .linalg import Matrix, fraction_free_rank
 from .quiver import Arrow, Vertex
 
 
@@ -30,8 +32,8 @@ class Representation:
 
     Matrices map source to target (shape target_dim x source_dim).  Relation
     compositions are checked at construction.  A representation is immutable
-    after construction, so its minimal presentation and tau are computed at
-    most once and kept on it.
+    after construction, so its minimal presentation, tau and injective
+    envelope are computed at most once and kept on it.
     """
 
     def __init__(
@@ -65,6 +67,8 @@ class Representation:
             self.check_relations()
         self._presentation: Optional[Presentation] = None
         self._tau: Optional[Representation] = None
+        # (P0, Ω) of the projective cover P0 -> DM, for stable_hom_dim
+        self._envelope: Optional[tuple[Representation, Representation]] = None
 
     # -- structure ----------------------------------------------------------
 
@@ -173,8 +177,11 @@ def dual_morphism(f: Morphism) -> Morphism:
 
 
 def injective(algebra: BoundAlgebra, x: Vertex) -> Representation:
-    """I(x): dual of the opposite projective; basis at y = paths y -> x."""
-    return dual(projective(algebra.opposite_algebra(), x))
+    """I(x): dual of the opposite projective; its basis at y is the basis of
+    P^op(x)_y, the A^op paths x -> y.  Built once and kept on the algebra."""
+    if x not in algebra._injectives:
+        algebra._injectives[x] = dual(projective(algebra.opposite_algebra(), x))
+    return algebra._injectives[x]
 
 
 def thin_from_support(algebra: BoundAlgebra, support: Iterable[Vertex]) -> Representation:
@@ -332,7 +339,8 @@ def hom_dim(m: Representation, n: Representation) -> int:
     it is the number of surviving components (thin_hom_components).
     Otherwise it is the number of unknowns, the entries of the blocks f_v
     (n.dims[v] x m.dims[v], row-major), minus the rank of the commutation
-    equations N_a·f_u = f_w·M_a, one row per entry over every arrow a: u -> w."""
+    equations N_a·f_u = f_w·M_a, one row per entry over every arrow a: u -> w,
+    taken on integers (fraction_free_rank)."""
     if m.algebra is not n.algebra:
         raise ShapeError("Hom across different algebras")
     if m.is_thin() and n.is_thin():
@@ -346,8 +354,8 @@ def hom_dim(m: Representation, n: Representation) -> int:
     def var(v: Vertex, i: int, j: int) -> int:
         return offsets[v] + i * m.dims[v] + j
 
-    zero_row = [Fraction(0)] * total
-    rows: list[list[Fraction]] = []
+    zero_row = [0] * total
+    rows = []
     for arrow in m.algebra.quiver.arrows:
         src, dst = arrow
         phi = m.maps[arrow]
@@ -360,7 +368,7 @@ def hom_dim(m: Representation, n: Representation) -> int:
                 for k in range(n.dims[src]):
                     row[var(src, k, j)] -= psi.rows[i][k]
                 rows.append(row)
-    return total - Matrix(rows, ncols=total).rank()
+    return total - fraction_free_rank(rows)
 
 
 # -- kernels, cokernels, tops, socles ----------------------------------------
@@ -559,18 +567,43 @@ def realize_path_matrix(algebra: BoundAlgebra, pm: PathMatrix) -> Morphism:
 
 def tau(m: Representation) -> Representation:
     """AR translate τM = D Tr M = ker ν(d), kept on the module: ν = D Hom(-, A)
-    is the Nakayama functor and d: P1 -> P0 the minimal presentation, so
-    ν(d) = D d^op, whose kernel is D coker d^op.  Projective direct summands
-    contribute nothing (their presentation has no P1 part)."""
+    is the Nakayama functor and d: P1 -> P0 the minimal presentation.
+    Projective direct summands contribute nothing (their presentation has no
+    P1 part)."""
     if m._tau is not None:
         return m._tau
     pres = minimal_projective_presentation(m)
     if not pres.p1_vertices:
         m._tau = zero_rep(m.algebra)
     else:
-        d_op = realize_path_matrix(m.algebra.opposite_algebra(), pres.path_matrix.transpose())
-        m._tau = kernel(dual_morphism(d_op))[0]
+        m._tau = kernel(nakayama_map(m.algebra, pres.path_matrix))[0]
     return m._tau
+
+
+def nakayama_map(algebra: BoundAlgebra, pm: PathMatrix) -> Morphism:
+    """ν(d): ⊕I(col_j) -> ⊕I(row_i) for d: ⊕P(col_j) -> ⊕P(row_i) presented
+    by pm, built on the kept injectives.  ν(d) = D(d^op): the term c·w of
+    entry (i, j) sends the A^op path q of P^op(row_i)_v to c·reversed(w)·q in
+    P^op(col_j)_v, so at v the block entry between q (in I(row_i)_v) and
+    q' = reversed(w)·q (in I(col_j)_v) is c."""
+    op = algebra.opposite_algebra()
+    verts = algebra.quiver.vertices
+    source, col_off = direct_sum([injective(algebra, z) for z in pm.col_vertices])
+    target, row_off = direct_sum([injective(algebra, y) for y in pm.row_vertices])
+    blocks = {v: [[0] * source.dims[v] for _ in range(target.dims[v])] for v in verts}
+    for j, z in enumerate(pm.col_vertices):
+        index = {v: {q.arrows: k for k, q in enumerate(op.basis_paths(z, v))} for v in verts}
+        for i, y in enumerate(pm.row_vertices):
+            for c, w in pm.entries[i][j]:
+                back = w.reversed().arrows
+                for v in verts:
+                    for k, q in enumerate(op.basis_paths(y, v)):
+                        k2 = index[v].get(back + q.arrows)
+                        if k2 is not None:
+                            blocks[v][row_off[i][v] + k][col_off[j][v] + k2] += c
+    return Morphism(
+        source, target, {v: Matrix(b, ncols=source.dims[v]) for v, b in blocks.items()}, check=False
+    )
 
 
 # -- Ext and stable Hom -------------------------------------------------------
@@ -606,8 +639,10 @@ def stable_hom_dim(m: Representation, n: Representation) -> int:
     full = hom_dim(m, n)
     if not full:
         return 0
-    p0, cover, _, _ = projective_cover(dual(m))
-    omega, _ = kernel(cover)
+    if m._envelope is None:
+        p0, cover, _, _ = projective_cover(dual(m))
+        m._envelope = (p0, kernel(cover)[0])
+    p0, omega = m._envelope
     dn = dual(n)
     return full - hom_dim(dn, p0) + hom_dim(dn, omega)
 

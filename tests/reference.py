@@ -41,27 +41,24 @@ def det(m: Matrix) -> Fraction:
     return out
 
 
-def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
-    """Deterministic basis of Hom(M, N): one global exact linear solve of the
-    arrow commutation equations."""
-    if m.algebra is not n.algebra:
-        raise ShapeError("Hom across different algebras")
-    algebra = m.algebra
-    vertices = algebra.quiver.vertices
+def commutation_equations(
+    m: Representation, n: Representation
+) -> tuple[list[list[Fraction]], dict[Vertex, int], int]:
+    """The equations N_a·f_u = f_w·M_a over every arrow a: u -> w, one row per
+    entry, in the unknowns f_v (n.dims[v] x m.dims[v], row-major, vertex by
+    vertex), with each vertex's offset and the number of unknowns."""
     offsets: dict[Vertex, int] = {}
     total = 0
-    for v in vertices:
+    for v in m.algebra.quiver.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    if total == 0:
-        return []
 
     def var(v: Vertex, i: int, j: int) -> int:
         return offsets[v] + i * m.dims[v] + j
 
     zero_row = [Fraction(0)] * total
     rows: list[list[Fraction]] = []
-    for arrow in algebra.quiver.arrows:
+    for arrow in m.algebra.quiver.arrows:
         src, dst = arrow
         phi = m.maps[arrow]
         psi = n.maps[arrow]
@@ -73,7 +70,25 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
                 for k in range(n.dims[src]):
                     row[var(src, k, j)] -= psi.rows[i][k]
                 rows.append(row)
+    return rows, offsets, total
 
+
+def hom_dim_fractions(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N) as the number of unknowns minus the rank of the
+    commutation equations, by Fraction elimination (Matrix.rank)."""
+    rows, _, total = commutation_equations(m, n)
+    return total - Matrix(rows, ncols=total).rank()
+
+
+def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
+    """Deterministic basis of Hom(M, N): one global exact linear solve of the
+    arrow commutation equations."""
+    if m.algebra is not n.algebra:
+        raise ShapeError("Hom across different algebras")
+    vertices = m.algebra.quiver.vertices
+    rows, offsets, total = commutation_equations(m, n)
+    if total == 0:
+        return []
     basis = []
     for vec in Matrix(rows, ncols=total).kernel_basis():
         blocks = {}
@@ -296,6 +311,17 @@ def tau(m: Representation) -> Representation:
     d_op = realize_path_matrix(m.algebra.opposite_algebra(), pres.path_matrix.transpose())
     tr, _ = cokernel(d_op)
     return reps.dual(tr)
+
+
+def tau_through_opposite(m: Representation) -> Representation:
+    """τM = ker ν(d) with ν(d) = D d^op: the transposed presentation realized
+    over A^op from checked projectives and a checked Yoneda map, then both
+    projective sums dualized; never memoized."""
+    pres = reps.minimal_projective_presentation(m)
+    if not pres.p1_vertices:
+        return reps.zero_rep(m.algebra)
+    d_op = reps.realize_path_matrix(m.algebra.opposite_algebra(), pres.path_matrix.transpose())
+    return reps.kernel(reps.dual_morphism(d_op))[0]
 
 
 def tau_inverse(m: Representation) -> Representation:

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from quivertilt.errors import ShapeError
-from quivertilt.linalg import Matrix
+from quivertilt.linalg import Matrix, fraction_free_rank
 
 from reference import det
 
@@ -69,3 +70,34 @@ def test_shape_errors():
 def test_block_diagonal():
     m = Matrix.block_diagonal([Matrix([[1]]), Matrix([[2, 3]])])
     assert m.rows == ((1, 0, 0), (0, 2, 3))
+
+
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError, match=r"entry 0\.1 is a float"):
+        Matrix([[0.1]])
+    with pytest.raises(TypeError, match=r"entry 0\.5 is a float"):
+        Matrix.identity(2).apply([0.5, 1])
+
+
+def test_fraction_free_rank_examples():
+    assert fraction_free_rank([]) == 0
+    assert fraction_free_rank([[0, 0], [0, 0]]) == 0
+    assert fraction_free_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    # a skipped column between pivots, then a row that cancels to zero
+    assert fraction_free_rank([[0, 2, 1, 0], [0, 4, 2, 1], [0, 6, 3, 1], [1, 0, 0, 0]]) == 3
+
+
+def test_fraction_free_rank_matches_fraction_rank():
+    """Random rational rows, some of them combinations of the others, so the
+    rank is often short of full and pivot columns get skipped."""
+    rng = random.Random(27)
+    pool = [0, 0, 0, 1, -1, 2, Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
+    for _ in range(300):
+        ncols = rng.randrange(1, 7)
+        rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
+        for _ in range(rng.randrange(0, 3) if rows else 0):
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = rng.choice(pool)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        assert fraction_free_rank(rows) == Matrix(rows, ncols=ncols).rank(), rows

@@ -671,6 +671,81 @@ def test_stable_hom_dim_matches_reference(a1, a2):
     assert not_thin
 
 
+# -- τ through ν(d) on the kept injectives, and integer Hom counts --------------------------
+
+DEFAULT_GRID = [(a1, a2) for a1 in range(1, 5) for a2 in range(2, 6)]
+RANDOM_INSTANCES = [*properties._INSTANCE_PARAMS, (3, 3), (3, 4)]
+
+
+def rescaled_by(m, rng, scalars=(1, Fraction(2, 3), Fraction(-1, 2))):
+    """M with every nonzero arrow scalar multiplied by one of `scalars`."""
+    maps = {
+        a: mat if mat.is_zero() else Matrix([[mat.rows[0][0] * rng.choice(scalars)]])
+        for a, mat in m.maps.items()
+    }
+    return reps.Representation(m.algebra, dict(m.dims), maps)
+
+
+@pytest.mark.parametrize("a1,a2", [*DEFAULT_GRID, (6, 8), (10, 12)])
+def test_tau_matches_round_trip_through_opposite_on_family(a1, a2):
+    """Bit for bit: every M(x) and D M(x), so both A and A^op."""
+    inst = family_instance(a1, a2)
+    for x in inst.vertices:
+        m = inst.module_M(x)
+        for module in (m, reps.dual(m)):
+            assert reps.tau(module) == reference.tau_through_opposite(module), (x, module)
+
+
+@pytest.mark.parametrize("a1,a2", RANDOM_INSTANCES)
+def test_tau_matches_round_trip_through_opposite_on_random_modules(a1, a2):
+    """Seeded random thin modules, some with arrow scalars 2/3 and -1/2, their
+    duals and two-summand sums."""
+    inst = family_instance(a1, a2)
+    rng = random.Random(27 * a1 + a2)
+    for _ in range(15):
+        m = properties.random_thin_module(rng, inst)
+        n = rescaled_by(properties.random_thin_module(rng, inst), rng)
+        mn, _ = reps.direct_sum([m, n])
+        for module in (m, n, reps.dual(m), reps.dual(n), mn, reps.dual(mn)):
+            assert reps.tau(module) == reference.tau_through_opposite(module), module
+
+
+@pytest.mark.parametrize("a1,a2", RANDOM_INSTANCES)
+def test_hom_dim_integer_rank_matches_fraction_rank(a1, a2):
+    """Pairs that are not thin, with arrow scalars 2/3 and -1/2, so the
+    equation rows have denominators to clear."""
+    inst = family_instance(a1, a2)
+    rng = random.Random(31 * a1 + a2)
+    with_denominators = 0
+    for _ in range(20):
+        m, n = (rescaled_by(properties.random_thin_module(rng, inst), rng) for _ in range(2))
+        mn, _ = reps.direct_sum([m, n])
+        nn, _ = reps.direct_sum([n, rescaled_by(n, rng)])
+        syzygy = reps.minimal_projective_presentation(mn).syzygy
+        pairs = [(mn, n), (n, mn), (mn, mn), (mn, nn), (nn, m), (syzygy, mn), (reps.tau(mn), nn)]
+        for x, y in pairs:
+            if x.is_thin() and y.is_thin():
+                continue
+            assert reps.hom_dim(x, y) == reference.hom_dim_fractions(x, y), (x, y)
+            maps = [*x.maps.values(), *y.maps.values()]
+            with_denominators += any(e.denominator != 1 for f in maps for row in f.rows for e in row)
+    assert with_denominators
+
+
+def test_stable_hom_builds_the_injective_envelope_once(monkeypatch):
+    inst = family_instance(3, 3)
+    m = inst.module_M(r(1))
+    targets = [inst.module_M(x) for x in inst.vertices] + [reps.tau(m)]
+    assert sum(reps.hom_dim(m, n) > 0 for n in targets) > 1
+    covered = []
+    cover = reps.projective_cover
+    monkeypatch.setattr(reps, "projective_cover", lambda mod: covered.append(mod) or cover(mod))
+    got = [reps.stable_hom_dim(m, n) for n in targets]
+    assert len(covered) == 1 and covered[0].algebra is inst.algebra.opposite_algebra()
+    monkeypatch.undo()
+    assert got == [reference.stable_hom_dim(m, n) for n in targets]
+
+
 # -- dump ----------------------------------------------------------------------------------
 
 
